@@ -5,6 +5,7 @@
 
 #include "coher/cache.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/logging.hh"
@@ -31,10 +32,25 @@ Cache::setIndex(Addr addr) const
     return lineIndexOf(addr) % sets_;
 }
 
+std::vector<Cache::Line>::iterator
+Cache::lowerBound(std::uint32_t set)
+{
+    return std::lower_bound(
+        lines_.begin(), lines_.end(), set,
+        [](const Line &line, std::uint32_t key) { return line.set < key; });
+}
+
+Cache::Line *
+Cache::find(std::uint32_t set)
+{
+    const auto it = lowerBound(set);
+    return it != lines_.end() && it->set == set ? &*it : nullptr;
+}
+
 CacheLookup
 Cache::lookup(Addr addr) const
 {
-    const Line *line = lines_.find(setIndex(addr));
+    const Line *line = find(setIndex(addr));
     if (!line || !line->valid || line->addr != lineOf(addr))
         return {};
     return {line->state, line->data};
@@ -46,10 +62,13 @@ Cache::fill(Addr addr, CacheState state, std::uint64_t data)
     LOCSIM_ASSERT(state != CacheState::Invalid,
                   "cannot fill a line Invalid");
     const std::uint32_t set = setIndex(addr);
-    Line *lp = lines_.find(set);
-    if (!lp)
-        lp = &lines_.insert(set, Line{});
-    Line &line = *lp;
+    auto it = lowerBound(set);
+    if (it == lines_.end() || it->set != set) {
+        Line fresh; // first touch: insert in set order
+        fresh.set = set;
+        it = lines_.insert(it, fresh);
+    }
+    Line &line = *it;
     std::optional<Eviction> evicted;
     if (line.valid && line.addr != lineOf(addr)) {
         evicted = Eviction{line.addr, line.state, line.data};
@@ -64,7 +83,7 @@ Cache::fill(Addr addr, CacheState state, std::uint64_t data)
 void
 Cache::setState(Addr addr, CacheState state)
 {
-    Line *line = lines_.find(setIndex(addr));
+    Line *line = find(setIndex(addr));
     LOCSIM_ASSERT(line && line->valid && line->addr == lineOf(addr),
                   "setState on a non-resident line");
     if (state == CacheState::Invalid) {
@@ -78,7 +97,7 @@ Cache::setState(Addr addr, CacheState state)
 void
 Cache::writeData(Addr addr, std::uint64_t data)
 {
-    Line *line = lines_.find(setIndex(addr));
+    Line *line = find(setIndex(addr));
     LOCSIM_ASSERT(line && line->valid && line->addr == lineOf(addr) &&
                       line->state == CacheState::Modified,
                   "writeData requires a resident Modified line");
@@ -88,7 +107,7 @@ Cache::writeData(Addr addr, std::uint64_t data)
 void
 Cache::invalidate(Addr addr)
 {
-    Line *line = lines_.find(setIndex(addr));
+    Line *line = find(setIndex(addr));
     if (line && line->valid && line->addr == lineOf(addr)) {
         line->valid = false;
         line->state = CacheState::Invalid;
@@ -99,9 +118,8 @@ std::uint32_t
 Cache::residentLines() const
 {
     std::uint32_t count = 0;
-    lines_.forEach([&](std::uint32_t, const Line &line) {
+    for (const Line &line : lines_)
         count += line.valid ? 1 : 0;
-    });
     return count;
 }
 
@@ -109,10 +127,9 @@ void
 Cache::saveState(util::Serializer &s) const
 {
     s.put<std::uint64_t>(sets_);
-    const Line untouched{};
-    for (std::uint32_t set = 0; set < sets_; ++set) {
-        const Line *found = lines_.find(set);
-        const Line &line = found ? *found : untouched;
+    s.put<std::uint64_t>(lines_.size());
+    for (const Line &line : lines_) {
+        s.put(line.set);
         s.put(line.valid);
         s.put(line.addr);
         s.put(line.state);
@@ -123,22 +140,28 @@ Cache::saveState(util::Serializer &s) const
 void
 Cache::loadState(util::Deserializer &d)
 {
-    const auto n = d.get<std::uint64_t>();
-    if (n != sets_)
+    if (d.get<std::uint64_t>() != sets_)
         throw std::runtime_error("Cache::loadState: geometry mismatch");
+    const auto count = d.get<std::uint64_t>();
+    if (count > sets_)
+        throw std::runtime_error(
+            "Cache::loadState: more records than sets");
     lines_.clear();
-    for (std::uint32_t set = 0; set < sets_; ++set) {
+    lines_.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
         Line line;
+        line.set = d.get<std::uint32_t>();
+        if (line.set >= sets_)
+            throw std::runtime_error(
+                "Cache::loadState: set index out of range");
+        if (!lines_.empty() && line.set <= lines_.back().set)
+            throw std::runtime_error(
+                "Cache::loadState: set indices not strictly ascending");
         line.valid = d.getBool();
         line.addr = d.get<Addr>();
         line.state = d.get<CacheState>();
         line.data = d.get<std::uint64_t>();
-        // Only touched sets materialize records; an all-default record
-        // is byte-identical to an absent one on the next save.
-        if (line.valid || line.addr != 0 || line.data != 0 ||
-            line.state != CacheState::Invalid) {
-            lines_.insert(set, line);
-        }
+        lines_.push_back(line);
     }
 }
 

@@ -9,13 +9,14 @@
  * checked end to end.
  *
  * Storage is sparse: the workload touches a handful of sets per node,
- * so line records are materialized on first touch in a flat map keyed
- * by set index instead of a dense 4096-set array (128KB per node at
- * the default geometry). A touched set's record is never dropped —
- * invalidation leaves the stale tag/data residue in place exactly as
- * the dense array did, which keeps checkpoint bytes identical
- * (saveState walks sets 0..N-1, emitting the default record for
- * never-touched sets).
+ * so a line record is materialized on first touch, in a vector kept
+ * sorted by set index, instead of a dense 4096-set array (128KB per
+ * node at the default geometry). Checkpoints carry exactly those
+ * records. A touched set's record is never dropped — invalidation
+ * leaves the stale tag/data residue in place — so the records, and
+ * with them the checkpoint stream, depend only on which sets were
+ * ever touched; that is what makes save -> load -> save
+ * byte-identical.
  */
 
 #ifndef LOCSIM_COHER_CACHE_HH_
@@ -23,9 +24,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "coher/protocol.hh"
-#include "util/flat_map.hh"
 #include "util/serialize.hh"
 
 namespace locsim {
@@ -98,15 +99,24 @@ class Cache
     std::uint32_t residentLines() const;
 
     /** Resident bytes of cache storage (footprint accounting). */
-    std::size_t memoryBytes() const { return lines_.memoryBytes(); }
+    std::size_t
+    memoryBytes() const
+    {
+        return lines_.capacity() * sizeof(Line);
+    }
 
     /**
-     * Serialize all sets in index order (geometry comes from the
-     * config). Never-touched sets emit the default record, so the
-     * byte stream matches the historical dense-array layout.
+     * Serialize the set count, the number of touched sets, then one
+     * record per touched set in ascending set order: set index,
+     * valid, tag, state, data. Never-touched sets are not written.
      */
     void saveState(util::Serializer &s) const;
 
+    /**
+     * Inverse of saveState. Throws std::runtime_error on a geometry
+     * mismatch, a record count above sets(), or set indices that are
+     * out of range or not strictly ascending.
+     */
     void loadState(util::Deserializer &d);
 
   private:
@@ -114,15 +124,28 @@ class Cache
     {
         Addr addr = 0; // line-aligned address (acts as the tag)
         std::uint64_t data = 0;
+        std::uint32_t set = 0;
         CacheState state = CacheState::Invalid;
         bool valid = false;
     };
 
     std::uint32_t setIndex(Addr addr) const;
 
+    /** First record whose set is not below @p set. */
+    std::vector<Line>::iterator lowerBound(std::uint32_t set);
+
+    /** The record of @p set, or nullptr if never touched.
+     *  Invalidated by fill(). */
+    Line *find(std::uint32_t set);
+    const Line *
+    find(std::uint32_t set) const
+    {
+        return const_cast<Cache *>(this)->find(set);
+    }
+
     std::uint32_t sets_ = 0;
-    /** Touched sets only, keyed by set index; records never erased. */
-    util::FlatMap<std::uint32_t, Line> lines_;
+    /** Touched sets only, in ascending set order; never erased. */
+    std::vector<Line> lines_;
 };
 
 } // namespace coher

@@ -616,9 +616,11 @@ namespace {
  *  network endpoint block, no transport block). Version 3: drop the
  *  skipped-ticks field — it is an execution-strategy diagnostic (a
  *  batched lane skips less than the same run solo), and serializing
- *  it made otherwise-identical images differ. */
+ *  it made otherwise-identical images differ. Version 4: each cache
+ *  writes only its touched sets (a count, then set-indexed records
+ *  in ascending set order) instead of every set densely. */
 constexpr std::uint32_t kCheckpointMagic = 0x4b43534c; // "LSCK"
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 } // namespace
 

@@ -63,7 +63,7 @@
 
 #include "net/kernels.hh"
 #include "net/message.hh"
-#include "sim/channel.hh"
+#include "sim/rotatable.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 #include "util/simd.hh"

@@ -37,7 +37,6 @@
 #include <utility>
 
 #include "obs/trace.hh"
-#include "sim/channel.hh"
 #include "net/link_fabric.hh"
 #include "net/message.hh"
 #include "net/topology.hh"

@@ -9,7 +9,7 @@
 
 #include "obs/profiler.hh"
 #include "obs/trace.hh"
-#include "sim/channel.hh"
+#include "sim/rotatable.hh"
 #include "util/logging.hh"
 
 namespace locsim {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "checkpoint_surgery.hh"
 #include "machine/machine.hh"
 #include "util/serialize.hh"
 #include "workload/mapping.hh"
@@ -242,6 +243,53 @@ TEST(Checkpoint, RejectsCorruptImages)
         trailing.push_back(0);
         EXPECT_THROW(fresh.restoreCheckpoint(trailing),
                      std::runtime_error);
+    }
+}
+
+TEST(Checkpoint, RejectsCorruptCacheSections)
+{
+    // Damage that keeps the image's framing intact (magic, version,
+    // length): the cache loader's own checks on the record count and
+    // the set indices must catch it.
+    const MachineConfig config = smallConfig();
+    const workload::Mapping mapping = identityMapping(config);
+
+    Machine saver(config, mapping);
+    saver.advance(1000);
+    const std::vector<std::uint8_t> image = saver.saveCheckpoint();
+
+    for (const auto damage : testing_ckpt::kAllCacheDamage) {
+        const std::vector<std::uint8_t> damaged =
+            testing_ckpt::damageCacheSection(image, saver, damage);
+        Machine fresh(config, mapping);
+        EXPECT_THROW(fresh.restoreCheckpoint(damaged),
+                     std::runtime_error)
+            << "damage kind " << static_cast<int>(damage);
+    }
+    Machine intact(config, mapping);
+    EXPECT_NO_THROW(intact.restoreCheckpoint(image));
+}
+
+/**
+ * Size guard: images carry only the cache sets a run touched. Written
+ * densely, the caches alone were 4096 sets x 18 B per node (4.8 MB at
+ * 8x8, 19 MB at 16x16).
+ */
+TEST(Checkpoint, ImagesCarryOnlyTouchedCacheSets)
+{
+    const struct
+    {
+        int radix;
+        std::size_t max_bytes;
+    } cases[] = {{8, 256 * 1024}, {16, 1024 * 1024}};
+    for (const auto &c : cases) {
+        MachineConfig config;
+        config.radix = c.radix;
+        const auto nodes = static_cast<std::uint32_t>(c.radix * c.radix);
+        Machine machine(config, workload::Mapping::random(nodes, 9));
+        machine.advance(2000);
+        EXPECT_LE(machine.saveCheckpoint().size(), c.max_bytes)
+            << c.radix << "x" << c.radix;
     }
 }
 

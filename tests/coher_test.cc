@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "coher/cache.hh"
@@ -20,6 +21,7 @@
 #include "net/network.hh"
 #include "sim/engine.hh"
 #include "util/random.hh"
+#include "util/serialize.hh"
 
 namespace locsim {
 namespace coher {
@@ -89,6 +91,91 @@ TEST(CacheUnit, WriteDataRequiresModified)
     cache.fill(a, CacheState::Modified, 0);
     cache.writeData(a, 123);
     EXPECT_EQ(cache.lookup(a).data, 123u);
+}
+
+/** Set indices of a saved cache section, in stream order. */
+std::vector<std::uint32_t>
+savedSets(const Cache &cache)
+{
+    util::Serializer s;
+    cache.saveState(s);
+    util::Deserializer d(s.buffer());
+    EXPECT_EQ(d.get<std::uint64_t>(), cache.sets());
+    std::vector<std::uint32_t> sets(d.get<std::uint64_t>());
+    for (std::uint32_t &set : sets) {
+        set = d.get<std::uint32_t>();
+        d.getBool();
+        d.get<Addr>();
+        d.get<CacheState>();
+        d.get<std::uint64_t>();
+    }
+    EXPECT_TRUE(d.atEnd());
+    return sets;
+}
+
+TEST(CacheUnit, SaveWritesTouchedSetsInAscendingOrder)
+{
+    Cache cache(16 * kLineBytes);
+    cache.fill(makeAddr(0, 9), CacheState::Shared, 1);
+    cache.fill(makeAddr(0, 2), CacheState::Modified, 2);
+    cache.fill(makeAddr(1, 5), CacheState::Shared, 3);
+    cache.invalidate(makeAddr(1, 5)); // residue stays a record
+    EXPECT_EQ(savedSets(cache), (std::vector<std::uint32_t>{2, 5, 9}));
+
+    util::Serializer first;
+    cache.saveState(first);
+    Cache restored(16 * kLineBytes);
+    util::Deserializer d(first.buffer());
+    restored.loadState(d);
+    EXPECT_TRUE(d.atEnd());
+    util::Serializer second;
+    restored.saveState(second);
+    EXPECT_EQ(second.buffer(), first.buffer());
+    EXPECT_EQ(restored.state(makeAddr(0, 2)), CacheState::Modified);
+    EXPECT_EQ(restored.lookup(makeAddr(0, 9)).data, 1u);
+    EXPECT_EQ(restored.state(makeAddr(1, 5)), CacheState::Invalid);
+    EXPECT_EQ(restored.residentLines(), 2u);
+}
+
+TEST(CacheUnit, LoadRejectsMalformedSections)
+{
+    constexpr std::uint32_t kSets = 16;
+    // A hand-built section: geometry, record count, then default
+    // records at the given set indices.
+    auto section = [](std::uint64_t sets, std::uint64_t count,
+                      std::vector<std::uint32_t> indices) {
+        util::Serializer s;
+        s.put<std::uint64_t>(sets);
+        s.put<std::uint64_t>(count);
+        for (std::uint32_t set : indices) {
+            s.put(set);
+            s.put(false);
+            s.put<Addr>(0);
+            s.put(CacheState::Invalid);
+            s.put<std::uint64_t>(0);
+        }
+        return s.takeBuffer();
+    };
+    auto load = [](const std::vector<std::uint8_t> &bytes) {
+        Cache cache(kSets * kLineBytes);
+        util::Deserializer d(bytes);
+        cache.loadState(d);
+    };
+
+    EXPECT_NO_THROW(load(section(kSets, 0, {})));
+    EXPECT_NO_THROW(load(section(kSets, 3, {0, 7, kSets - 1})));
+    EXPECT_THROW(load(section(kSets + 1, 0, {})), std::runtime_error);
+    EXPECT_THROW(load(section(kSets, kSets + 1, {})),
+                 std::runtime_error);
+    // Rejected before anything is sized by it.
+    EXPECT_THROW(load(section(kSets, std::uint64_t{1} << 40, {})),
+                 std::runtime_error);
+    EXPECT_THROW(load(section(kSets, 2, {7, 3})), std::runtime_error);
+    EXPECT_THROW(load(section(kSets, 2, {7, 7})), std::runtime_error);
+    EXPECT_THROW(load(section(kSets, 2, {3, kSets})),
+                 std::runtime_error);
+    EXPECT_THROW(load(section(kSets, 3, {3, 7})), std::runtime_error)
+        << "truncated";
 }
 
 TEST(DirectoryUnit, SharerManagement)

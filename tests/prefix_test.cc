@@ -39,6 +39,7 @@
 #include "cache/key.hh"
 #include "cache/prefix.hh"
 #include "cache/store.hh"
+#include "checkpoint_surgery.hh"
 #include "machine/batch.hh"
 #include "machine/machine.hh"
 #include "obs/counters.hh"
@@ -479,6 +480,27 @@ TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
     ASSERT_TRUE(repaired.has_value());
     machine::Machine check(config, mapping);
     EXPECT_NO_THROW(check.restoreCheckpoint(*repaired));
+
+    // A well-framed image whose cache section is damaged (right
+    // magic, version and length) takes the same path: the restore
+    // throws, the image is dropped and recomputed byte for byte.
+    for (const auto damage : testing_ckpt::kAllCacheDamage) {
+        {
+            std::ofstream os(dir / (key + ".ckpt"),
+                             std::ios::binary | std::ios::trunc);
+            const auto damaged =
+                testing_ckpt::damageCacheSection(*repaired, check, damage);
+            os.write(reinterpret_cast<const char *>(damaged.data()),
+                     static_cast<std::streamsize>(damaged.size()));
+        }
+        const auto recomputed = planner.warmMachine(config, mapping, kWarmup);
+        EXPECT_EQ(
+            measurementBytes(recomputed->measure(400)),
+            measurementBytes(oracleRun(config, mapping, kWarmup, 400)))
+            << "damage kind " << static_cast<int>(damage);
+        EXPECT_EQ(store.lookupCheckpoint(key), repaired)
+            << "damage kind " << static_cast<int>(damage);
+    }
     fs::remove_all(dir);
 }
 

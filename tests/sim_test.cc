@@ -1,70 +1,56 @@
 /**
  * @file
- * Unit tests for the simulation kernel: channels, event queue, engine
- * clock domains, and two-phase ordering guarantees.
+ * Unit tests for the simulation kernel: channel rotation, event queue,
+ * engine clock domains, and two-phase ordering guarantees.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
-#include "sim/channel.hh"
 #include "sim/engine.hh"
 #include "sim/event_queue.hh"
+#include "sim/rotatable.hh"
 
 namespace locsim {
 namespace sim {
 namespace {
 
-TEST(Channel, PushNotVisibleUntilRotate)
+/** The smallest latched channel: push() stages, rotate() publishes. */
+class Latch final : public Rotatable
 {
-    Channel<int> ch;
-    ch.push(1);
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.size(), 1u);
-    ch.rotate();
-    EXPECT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front(), 1);
-    EXPECT_EQ(ch.pop(), 1);
-    EXPECT_TRUE(ch.empty());
-}
+  public:
+    void
+    push(int value)
+    {
+        staged_.push_back(value);
+        markDirty();
+    }
 
-TEST(Channel, FifoOrderAcrossRotations)
-{
-    Channel<int> ch;
-    ch.push(1);
-    ch.push(2);
-    ch.rotate();
-    ch.push(3);
-    ch.rotate();
-    EXPECT_EQ(ch.pop(), 1);
-    EXPECT_EQ(ch.pop(), 2);
-    EXPECT_EQ(ch.pop(), 3);
-}
+    bool empty() const { return visible_.empty(); }
+    int front() const { return visible_.front(); }
 
-TEST(Channel, CapacityEnforced)
-{
-    Channel<int> ch(2);
-    EXPECT_TRUE(ch.canPush());
-    ch.push(1);
-    ch.push(2);
-    EXPECT_FALSE(ch.canPush());
-    ch.rotate();
-    EXPECT_FALSE(ch.canPush()); // rotation does not free space
-    ch.pop();
-    EXPECT_TRUE(ch.canPush());
-}
+    int
+    pop()
+    {
+        const int value = visible_.front();
+        visible_.pop_front();
+        return value;
+    }
 
-TEST(Channel, ClearEmptiesBothQueues)
-{
-    Channel<int> ch;
-    ch.push(1);
-    ch.rotate();
-    ch.push(2);
-    ch.clear();
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.size(), 0u);
-}
+    void
+    rotate() override
+    {
+        dirty_ = false;
+        visible_.insert(visible_.end(), staged_.begin(), staged_.end());
+        staged_.clear();
+    }
+
+  private:
+    std::deque<int> visible_;
+    std::deque<int> staged_;
+};
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -285,7 +271,7 @@ TEST(Engine, EventsFireBeforeComponents)
 class PingPong : public Clocked
 {
   public:
-    PingPong(Channel<int> &in, Channel<int> &out) : in_(in), out_(out) {}
+    PingPong(Latch &in, Latch &out) : in_(in), out_(out) {}
 
     void
     tick(Tick) override
@@ -299,15 +285,15 @@ class PingPong : public Clocked
     std::size_t sent = 0;
 
   private:
-    Channel<int> &in_;
-    Channel<int> &out_;
+    Latch &in_;
+    Latch &out_;
 };
 
 TEST(Engine, ChannelLatchingMakesOrderIrrelevant)
 {
     auto run = [](bool a_first) {
         Engine engine;
-        Channel<int> ab, ba;
+        Latch ab, ba;
         engine.addChannel(&ab);
         engine.addChannel(&ba);
         PingPong a(ba, ab), b(ab, ba);
@@ -330,9 +316,9 @@ TEST(Engine, ChannelLatchingMakesOrderIrrelevant)
     EXPECT_EQ(forward.first.front(), 0);
 }
 
-TEST(Channel, DirtyFlagTracksStagedValues)
+TEST(Rotatable, DirtyFlagTracksStagedValues)
 {
-    Channel<int> ch;
+    Latch ch;
     EXPECT_FALSE(ch.dirty());
     ch.push(1);
     EXPECT_TRUE(ch.dirty());
@@ -342,14 +328,12 @@ TEST(Channel, DirtyFlagTracksStagedValues)
     EXPECT_FALSE(ch.dirty());
     ch.push(3);
     EXPECT_TRUE(ch.dirty());
-    ch.clear();
-    EXPECT_FALSE(ch.dirty());
 }
 
-TEST(Channel, DirtyListEnrolsOncePerCycle)
+TEST(Rotatable, DirtyListEnrolsOncePerCycle)
 {
     std::vector<Rotatable *> dirty;
-    Channel<int> ch;
+    Latch ch;
     ch.bindDirtyList(&dirty);
     ch.push(1);
     ch.push(2);
@@ -359,28 +343,6 @@ TEST(Channel, DirtyListEnrolsOncePerCycle)
     dirty.clear();
     ch.push(3);
     EXPECT_EQ(dirty.size(), 1u);
-}
-
-TEST(Channel, SwapRotateKeepsFifoOrderThroughEmptyAndBusyPhases)
-{
-    // Exercise both rotate() paths: the O(1) swap (visible empty) and
-    // the append loop (consumer left values behind), and verify the
-    // global FIFO order is identical to an element-by-element move.
-    Channel<int> ch;
-    ch.push(1);
-    ch.push(2);
-    ch.rotate(); // swap path
-    EXPECT_EQ(ch.pop(), 1);
-    ch.push(3);
-    ch.push(4);
-    ch.rotate(); // append path: 2 still visible
-    EXPECT_EQ(ch.pop(), 2);
-    EXPECT_EQ(ch.pop(), 3);
-    EXPECT_EQ(ch.pop(), 4);
-    ch.push(5);
-    ch.rotate(); // swap path again after full drain
-    EXPECT_EQ(ch.pop(), 5);
-    EXPECT_TRUE(ch.empty());
 }
 
 TEST(Engine, ReferenceModeMatchesActivityTickSchedule)
@@ -495,7 +457,7 @@ TEST(Engine, ManualChannelPushRotatesBeforeAnySkip)
     // hand must see it become visible after exactly one tick even if
     // the whole machine is otherwise quiescent.
     Engine engine;
-    Channel<int> ch;
+    Latch ch;
     engine.addChannel(&ch);
     BurstWorker worker(engine);
     worker.work_remaining = 0; // idle from the start
@@ -513,7 +475,7 @@ TEST(Engine, ChannelRegisteredDirtyRotatesOnFirstTick)
 {
     // Registration after a manual push must still rotate on schedule.
     Engine engine;
-    Channel<int> ch;
+    Latch ch;
     ch.push(3);
     engine.addChannel(&ch);
     engine.run(1);
