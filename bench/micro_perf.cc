@@ -200,9 +200,9 @@ BENCHMARK_CAPTURE(BM_NetworkSimCycles, 16x16, 16)
 
 /**
  * Aggregate throughput of K independent 8x8 network simulations
- * advanced as lanes of one batch: one engine and one pair of
- * lane-striped link stores carry all K networks, so the clocked scan
- * and dirty-word rotation run once over the whole batch. Lanes differ
+ * advanced as lanes of one batch: one engine and one lane-striped
+ * flit store carry all K networks, so the clocked scan and dirty-word
+ * rotation run once over the whole batch. Lanes differ
  * only by traffic seed. K = 1 is the solo baseline; items processed
  * count aggregate lane-cycles, so the K = 8 entry's items/second
  * divided by K = 1's is the batching speedup compare_bench.py gates
@@ -218,8 +218,8 @@ BM_BatchedSimCycles(benchmark::State &state, int lanes, int radix)
     net::NetworkConfig config;
     config.radix = radix;
     config.dims = 2;
-    net::LinkStores stores(config.router.buffer_depth + 2,
-                           config.router.vcs, /*shards=*/1, lanes);
+    net::FlitLinkStore stores(config.router.buffer_depth + 2,
+                              /*shards=*/1, lanes);
     const std::vector<sim::Engine *> engines{&engine};
     stores.registerRotators(engines);
     if (g_profile_enabled) {

@@ -97,11 +97,11 @@ MachineBatch::MachineBatch(const std::vector<BatchLaneSpec> &specs)
         owned_engines_.push_back(std::make_unique<sim::Engine>());
         engines_.push_back(owned_engines_.back().get());
     }
-    stores_ = std::make_unique<net::LinkStores>(
-        head.router.buffer_depth + 2, head.router.vcs, shards, lanes);
+    stores_ = std::make_unique<net::FlitLinkStore>(
+        head.router.buffer_depth + 2, shards, lanes);
     // Once, for the whole batch: the per-shard rotators are shared by
     // every lane's channels (Network skips registration when handed
-    // shared stores).
+    // a shared store).
     stores_->registerRotators(engines_);
     if (shards > 1)
         shard_pool_ =
@@ -131,12 +131,9 @@ MachineBatch::MachineBatch(const std::vector<BatchLaneSpec> &specs)
         // a mismatch here means the lane-striding invariant (logical
         // channel c of lane l at id c*stride+l, stride = bit_ceil of
         // the lane count) is broken.
-        LOCSIM_ASSERT(
-            stores_->flits.laneChannels(l) ==
-                    stores_->flits.laneChannels(0) &&
-                stores_->credits.laneChannels(l) ==
-                    stores_->credits.laneChannels(0),
-            "batch lanes allocated differing channel counts");
+        LOCSIM_ASSERT(stores_->laneChannels(l) ==
+                          stores_->laneChannels(0),
+                      "batch lanes allocated differing channel counts");
     }
 }
 

@@ -7,8 +7,8 @@
  * only in seed, mapping, or context count on one topology shape. A
  * MachineBatch runs K of them as lanes of a single execution: all
  * lanes register their components with one set of shard engines and
- * draw their links from one pair of lane-striped SoA stores
- * (net::LinkStores), so the engine's clocked scan, dirty-channel
+ * draw their links from one lane-striped SoA store
+ * (net::FlitLinkStore), so the engine's clocked scan, dirty-channel
  * rotation, and quiescence machinery run once over the whole batch.
  * The same logical channel of every lane occupies adjacent bits of
  * one dirty word (ids are allocated lane-strided), so a congested
@@ -103,7 +103,7 @@ class MachineBatch : private sim::LockstepSerial
 
     std::vector<std::unique_ptr<sim::Engine>> owned_engines_;
     std::vector<sim::Engine *> engines_;
-    std::unique_ptr<net::LinkStores> stores_;
+    std::unique_ptr<net::FlitLinkStore> stores_;
     std::unique_ptr<runner::ThreadPool> shard_pool_;
     std::vector<std::unique_ptr<Machine>> machines_;
     bool reference_ = false;

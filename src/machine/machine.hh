@@ -198,7 +198,7 @@ std::uint32_t checkpointFormatVersion();
 /**
  * Shared execution context for one lane of a machine batch (see
  * machine/batch.hh): the shard engines every lane registers its
- * components with, and the lane-striped link stores every lane's
+ * components with, and the lane-striped flit store every lane's
  * fabric allocates channels from. A machine built with a context does
  * not own engines and must be driven through its MachineBatch, never
  * through its own run()/advance()/measure().
@@ -206,7 +206,7 @@ std::uint32_t checkpointFormatVersion();
 struct BatchContext
 {
     std::vector<sim::Engine *> engines; //!< one per shard, shared
-    net::LinkStores *stores = nullptr;  //!< lane-striped, shared
+    net::FlitLinkStore *stores = nullptr; //!< lane-striped, shared
     int lane = 0; //!< this machine's lane index (profiler column)
 };
 

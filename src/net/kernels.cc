@@ -41,24 +41,7 @@ flitPublishScalar(std::uint32_t *mid, const std::uint32_t *tail,
 }
 
 void
-creditPublishScalar(int *counts, std::uint64_t bits, int vcs)
-{
-    while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        int *st = counts + static_cast<std::size_t>(2 * vcs) *
-                               static_cast<std::size_t>(b);
-        int *vis = st + vcs;
-        for (int vc = 0; vc < vcs; ++vc) {
-            vis[vc] += st[vc];
-            st[vc] = 0;
-        }
-    }
-}
-
-void
 latchBusyScalar(std::uint32_t *fws, std::uint32_t *fw,
-                std::uint32_t *cws, std::uint32_t *cw,
                 const std::uint32_t *buffered, std::size_t first,
                 std::size_t last, std::uint8_t *out)
 {
@@ -68,9 +51,7 @@ latchBusyScalar(std::uint32_t *fws, std::uint32_t *fw,
             const std::size_t n = i + j;
             fw[n] |= fws[n];
             fws[n] = 0;
-            cw[n] |= cws[n];
-            cws[n] = 0;
-            if ((buffered[n] | fw[n] | cw[n]) != 0)
+            if ((buffered[n] | fw[n]) != 0)
                 byte |= 1u << j;
         }
         out[(i - first) >> 3] = static_cast<std::uint8_t>(byte);
@@ -112,29 +93,7 @@ flitPublishSse2(std::uint32_t *mid, const std::uint32_t *tail,
 }
 
 void
-creditPublish2Sse2(int *counts, std::uint64_t bits)
-{
-    // vcs == 2: each channel is 4 ints [s0, s1, v0, v1]. One shifted
-    // add computes [_, _, v0+s0, v1+s1]; the mask zeroes the staged
-    // half. A single 16-byte store stays inside the channel's own
-    // counter block, so neighboring channels (possibly another
-    // shard's) are never written.
-    const __m128i keep = _mm_setr_epi32(0, 0, -1, -1);
-    while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        int *p = counts + 4 * static_cast<std::size_t>(b);
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        const __m128i sum = _mm_add_epi32(v, _mm_slli_si128(v, 8));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p),
-                         _mm_and_si128(sum, keep));
-    }
-}
-
-void
 latchBusySse2(std::uint32_t *fws, std::uint32_t *fw,
-              std::uint32_t *cws, std::uint32_t *cw,
               const std::uint32_t *buffered, std::size_t first,
               std::size_t last, std::uint8_t *out)
 {
@@ -151,18 +110,10 @@ latchBusySse2(std::uint32_t *fws, std::uint32_t *fw,
             _mm_storeu_si128(reinterpret_cast<__m128i *>(fw + n), f);
             _mm_storeu_si128(reinterpret_cast<__m128i *>(fws + n),
                              zero);
-            __m128i c = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(cw + n));
-            c = _mm_or_si128(
-                c, _mm_loadu_si128(
-                       reinterpret_cast<const __m128i *>(cws + n)));
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(cw + n), c);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(cws + n),
-                             zero);
             const __m128i b = _mm_loadu_si128(
                 reinterpret_cast<const __m128i *>(buffered + n));
-            const __m128i idle = _mm_cmpeq_epi32(
-                _mm_or_si128(_mm_or_si128(f, c), b), zero);
+            const __m128i idle =
+                _mm_cmpeq_epi32(_mm_or_si128(f, b), zero);
             const auto idle_mask = static_cast<unsigned>(
                 _mm_movemask_ps(_mm_castsi128_ps(idle)));
             byte |= (~idle_mask & 0xfu) << h;
@@ -200,7 +151,6 @@ flitPublishAvx2(std::uint32_t *mid, const std::uint32_t *tail,
 
 [[gnu::target("avx2")]] void
 latchBusyAvx2(std::uint32_t *fws, std::uint32_t *fw,
-              std::uint32_t *cws, std::uint32_t *cw,
               const std::uint32_t *buffered, std::size_t first,
               std::size_t last, std::uint8_t *out)
 {
@@ -214,18 +164,10 @@ latchBusyAvx2(std::uint32_t *fws, std::uint32_t *fw,
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(fw + i), f);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(fws + i),
                             zero);
-        __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(cw + i));
-        c = _mm256_or_si256(
-            c, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i *>(cws + i)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(cw + i), c);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(cws + i),
-                            zero);
         const __m256i b = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(buffered + i));
-        const __m256i idle = _mm256_cmpeq_epi32(
-            _mm256_or_si256(_mm256_or_si256(f, c), b), zero);
+        const __m256i idle =
+            _mm256_cmpeq_epi32(_mm256_or_si256(f, b), zero);
         const auto idle_mask = static_cast<unsigned>(
             _mm256_movemask_ps(_mm256_castsi256_ps(idle)));
         out[(i - first) >> 3] =
@@ -260,27 +202,7 @@ flitPublishWord(std::uint32_t *mid, const std::uint32_t *tail,
 }
 
 void
-creditPublishWord(int *counts, std::uint64_t bits, int vcs,
-                  Level level)
-{
-#if LOCSIM_KERNELS_X86
-    // The 128-bit body serves both vector levels: a credit publish is
-    // one shifted add per channel, which AVX2 cannot widen without
-    // writing across channel boundaries.
-    if (level >= Level::Sse2 && vcs == 2) {
-        creditPublish2Sse2(counts, bits);
-        return;
-    }
-#else
-    (void)level;
-#endif
-    creditPublishScalar(counts, bits, vcs);
-}
-
-void
 routerLatchBusy(std::uint32_t *flit_staged, std::uint32_t *flit_wake,
-                std::uint32_t *credit_staged,
-                std::uint32_t *credit_wake,
                 const std::uint32_t *buffered, std::size_t first,
                 std::size_t last, std::uint8_t *busy_bytes,
                 Level level)
@@ -288,21 +210,21 @@ routerLatchBusy(std::uint32_t *flit_staged, std::uint32_t *flit_wake,
 #if LOCSIM_KERNELS_X86
 #if LOCSIM_SIMD_MAX >= 2
     if (level == Level::Avx2) {
-        latchBusyAvx2(flit_staged, flit_wake, credit_staged,
-                      credit_wake, buffered, first, last, busy_bytes);
+        latchBusyAvx2(flit_staged, flit_wake, buffered, first, last,
+                      busy_bytes);
         return;
     }
 #endif
     if (level >= Level::Sse2) {
-        latchBusySse2(flit_staged, flit_wake, credit_staged,
-                      credit_wake, buffered, first, last, busy_bytes);
+        latchBusySse2(flit_staged, flit_wake, buffered, first, last,
+                      busy_bytes);
         return;
     }
 #else
     (void)level;
 #endif
-    latchBusyScalar(flit_staged, flit_wake, credit_staged,
-                    credit_wake, buffered, first, last, busy_bytes);
+    latchBusyScalar(flit_staged, flit_wake, buffered, first, last,
+                    busy_bytes);
 }
 
 } // namespace kernels

@@ -2,15 +2,13 @@
  * @file
  * Lane-vector kernels for the link-fabric and router hot paths.
  *
- * Three data-parallel passes dominate the fabric's per-cycle fixed
- * cost once the stores are lane-striped SoA (link_fabric.hh):
+ * Two data-parallel passes dominate the fabric's per-cycle fixed
+ * cost once the flit store is lane-striped SoA (link_fabric.hh):
  *
  *  - flit publish: mid = tail for every channel of one 64-bit dirty
  *    word (rotation phase),
- *  - credit publish: visible += staged, staged = 0 per VC for every
- *    channel of one dirty word (rotation phase),
  *  - router latch/busy scan: wake |= staged, staged = 0 per router
- *    word, plus the busy test (buffered | wakes) != 0, for a shard's
+ *    word, plus the busy test (buffered | wake) != 0, for a shard's
  *    contiguous node range (start of every network cycle).
  *
  * Each kernel is compiled at scalar, SSE2 and AVX2 levels in one
@@ -31,9 +29,6 @@
  *    ISA contract); the SSE2 body uses full 128-bit stores only when
  *    all four channels of the group are dirty (dirty implies owned)
  *    and falls back to scalar stores otherwise.
- *  - credit publish: each channel's counters are updated with one
- *    128-bit load/store confined to that channel's [staged x2,
- *    visible x2] block, so neighboring channels are never written.
  *  - latch/busy: the caller peels the range to absolute multiples of
  *    the group size; partial boundary groups (which may share a
  *    vector with another shard's nodes) take the scalar path in the
@@ -62,28 +57,15 @@ void flitPublishWord(std::uint32_t *mid, const std::uint32_t *tail,
                      std::uint64_t bits, util::simd::Level level);
 
 /**
- * Publish one dirty word of credit channels: for every set bit b,
- * visible[vc] += staged[vc]; staged[vc] = 0 over the channel's
- * @p vcs VCs. @p counts points at the first channel's staged base;
- * each channel occupies 2 * vcs ints ([staged x vcs][visible x vcs]).
- * The vector body covers vcs == 2 (the torus default); other VC
- * counts take the scalar path at any level.
- */
-void creditPublishWord(int *counts, std::uint64_t bits, int vcs,
-                       util::simd::Level level);
-
-/**
- * Latch staged router wakes and evaluate busy flags for the absolute
- * node range [first, last): wake |= exchange(staged, 0) for both wake
- * pairs, then busy = (buffered | flit_wake | credit_wake) != 0.
+ * Latch staged router flit wakes and evaluate busy flags for the
+ * absolute node range [first, last): wake |= exchange(staged, 0),
+ * then busy = (buffered | flit_wake) != 0.
  * @p first and @p last must be multiples of 8 (the caller peels
  * boundary nodes scalar); busy bits land in @p busy_bytes, one byte
  * per group of 8 nodes, indexed by (node - first) / 8, bit (node % 8).
  */
 void routerLatchBusy(std::uint32_t *flit_staged,
                      std::uint32_t *flit_wake,
-                     std::uint32_t *credit_staged,
-                     std::uint32_t *credit_wake,
                      const std::uint32_t *buffered, std::size_t first,
                      std::size_t last, std::uint8_t *busy_bytes,
                      util::simd::Level level);

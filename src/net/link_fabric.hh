@@ -1,32 +1,35 @@
 /**
  * @file
- * Structure-of-arrays storage for the torus fabric's latched links.
+ * Structure-of-arrays storage for the torus fabric's latched flit
+ * links.
  *
- * The previous fabric kept one heap object per link (FlitRing /
- * CreditPipe, arena-packed but still pointer-chased) and registered
- * each with its shard engine as an independent Rotatable, so the
- * rotation phase made one virtual call per dirty link. This file
- * flattens all links of one kind into dense-id SoA arrays:
+ * The previous fabric kept one heap object per link (FlitRing,
+ * arena-packed but still pointer-chased) and registered each with its
+ * shard engine as an independent Rotatable, so the rotation phase
+ * made one virtual call per dirty link. This file flattens all flit
+ * links into dense-id SoA arrays:
  *
  *  - FlitLinkStore: every flit link shares one uniform power-of-two
  *    ring capacity. The hot ring cursors live in three parallel
  *    uint32 arrays (head / mid / tail) split from the cold per-channel
  *    metadata (wake binding, owning shard), so the rotation publish
  *    (mid = tail) is a pure data-parallel pass over adjacent words.
- *  - CreditLinkStore: per-VC staged/visible counters in one
- *    contiguous int array with stride = 2 * VC count per channel.
- *  - LinkRotator: one Rotatable per (store, shard). Channels mark
- *    themselves dirty in per-rotator 64-bit words; rotation drains
- *    whole words, handing each word's dirty bitmask to the store's
- *    publishWord(), which runs the lane-vector kernels of
- *    net/kernels.hh (SSE2/AVX2 with a scalar fallback, level resolved
- *    once per store from util::simd::activeLevel()).
+ *  - LinkRotator: one Rotatable per shard. Channels mark themselves
+ *    dirty in per-rotator 64-bit words; rotation drains whole words,
+ *    handing each word's dirty bitmask to the store's publishWord(),
+ *    which runs the lane-vector kernels of net/kernels.hh (SSE2/AVX2
+ *    with a scalar fallback, level resolved once per store from
+ *    util::simd::activeLevel()).
+ *
+ * Credits do not travel through latched links: a router returns each
+ * one as shard mail that the Network applies at the start of the next
+ * cycle (see Network::drainCreditMail).
  *
  * Rotation order across channels is immaterial (each channel's
  * publish touches only its own state, and cross-shard wake delivery
  * is a commutative fetch_or), so batch rotation is bit-identical to
- * the per-channel scheme. Serialization layouts are byte-identical
- * to the old FlitRing/CreditPipe streams.
+ * the per-channel scheme. The serialization layout is byte-identical
+ * to the old FlitRing stream.
  *
  * Every channel belongs to exactly one shard (its producer's); a
  * rotator only ever publishes channels of its own shard, keeping the
@@ -58,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -75,15 +79,13 @@ namespace net {
 using ChannelId = std::uint32_t;
 inline constexpr ChannelId kNoChannel = 0xffffffffu;
 
-/**
- * The per-shard Rotatable that batch-rotates one store's channels.
- * @tparam Store exposes publishWord(word, bits).
- */
-template <typename Store>
+class FlitLinkStore;
+
+/** The per-shard Rotatable that batch-rotates the store's channels. */
 class LinkRotator final : public sim::Rotatable
 {
   public:
-    explicit LinkRotator(Store &store) : store_(store) {}
+    explicit LinkRotator(FlitLinkStore &store) : store_(store) {}
 
     /** Grow the dirty bitset to cover channel @p id (build time). */
     void
@@ -109,29 +111,10 @@ class LinkRotator final : public sim::Rotatable
         markDirty();
     }
 
-    void
-    rotate() override
-    {
-        dirty_ = false;
-        // First-touch order is the measured optimum for this drain.
-        // Two alternatives were tried on the congested 16x16 fabric
-        // (interleaved A/B, medians of 5): ascending-id order via
-        // sorting touched_ read 6% slower (first-touch already
-        // matches the cycle's write order, so the control words are
-        // the cache's warmest lines and the sort is pure overhead),
-        // and software-prefetching the next touched word's control
-        // line read 5% slower (the lines are resident; the hint only
-        // added a branch). The drain is not on the 16x16 critical
-        // path — per-flit switch traversal is (docs/PERFORMANCE.md).
-        for (const std::uint32_t word : touched_) {
-            store_.publishWord(word,
-                               std::exchange(dirty_words_[word], 0));
-        }
-        touched_.clear();
-    }
+    void rotate() override;
 
   private:
-    Store &store_;
+    FlitLinkStore &store_;
     /** One dirty bit per channel id (ids of other shards stay 0). */
     std::vector<std::uint64_t> dirty_words_;
     /** Indices of nonzero dirty words, in first-touch order. */
@@ -233,7 +216,7 @@ class FlitLinkStore
         rotators_.reserve(static_cast<std::size_t>(shards));
         for (int s = 0; s < shards; ++s) {
             rotators_.push_back(
-                std::make_unique<LinkRotator<FlitLinkStore>>(*this));
+                std::make_unique<LinkRotator>(*this));
         }
     }
 
@@ -280,12 +263,24 @@ class FlitLinkStore
         return id;
     }
 
-    std::size_t channelCount() const { return ids_; }
-
     /** The Rotatable to register with shard @p s's engine. */
     sim::Rotatable *rotator(int s)
     {
         return rotators_[static_cast<std::size_t>(s)].get();
+    }
+
+    /**
+     * Register each per-shard rotator with the matching engine. A
+     * batch owner calls this once per batch, not once per lane: the
+     * rotator is shared by every lane's channels, and a double
+     * registration would rotate it twice per tick in Reference mode.
+     */
+    template <typename EngineT>
+    void
+    registerRotators(const std::vector<EngineT *> &engines)
+    {
+        for (std::size_t s = 0; s < engines.size(); ++s)
+            engines[s]->addChannel(rotator(static_cast<int>(s)));
     }
 
     void
@@ -388,14 +383,6 @@ class FlitLinkStore
         return flit;
     }
 
-    /** Publish staged flits of @p id (rotation phase only). */
-    void
-    publishChannel(ChannelId id)
-    {
-        meta_[id].wake.wakeOnPublish();
-        mid_[id] = tail_[id];
-    }
-
     /**
      * Publish every dirty channel of one 64-channel word (rotation
      * phase only). Publish-time wakes exist only for cross-shard
@@ -441,8 +428,17 @@ class FlitLinkStore
         head_[id] = static_cast<std::uint32_t>(d.get<std::uint64_t>());
         mid_[id] = static_cast<std::uint32_t>(d.get<std::uint64_t>());
         tail_[id] = static_cast<std::uint32_t>(d.get<std::uint64_t>());
-        LOCSIM_ASSERT(tail_[id] - head_[id] <= cap_,
-                      "flit ring checkpoint exceeds capacity");
+        // Checked before any flit is read: a corrupt image must throw
+        // (so a cache drops and recomputes it), not overrun the ring.
+        const std::uint32_t held = tail_[id] - head_[id];
+        if (held > cap_) {
+            throw std::runtime_error(
+                "flit link checkpoint exceeds the ring capacity");
+        }
+        if (mid_[id] - head_[id] > held) {
+            throw std::runtime_error(
+                "flit link checkpoint cursors are out of order");
+        }
         for (std::uint32_t i = head_[id]; i != tail_[id]; ++i)
             buf_[slot(id, i)] = loadFlit(d);
     }
@@ -517,271 +513,29 @@ class FlitLinkStore
     std::vector<std::uint64_t> remote_bits_;
     std::vector<Flit> buf_;
 
-    std::vector<std::unique_ptr<LinkRotator<FlitLinkStore>>> rotators_;
+    std::vector<std::unique_ptr<LinkRotator>> rotators_;
 };
 
-/**
- * All credit-return links, flattened: staged/visible counters per VC
- * in one contiguous array of stride 2 * vcs per channel.
- */
-class CreditLinkStore
+inline void
+LinkRotator::rotate()
 {
-  public:
-    static constexpr int kMaxVcs = 8;
-
-    CreditLinkStore(int vcs, int shards, int lanes = 1)
-        : vcs_(vcs), lanes_(lanes), stride_(detail::laneStride(lanes)),
-          per_lane_next_(static_cast<std::size_t>(lanes), 0),
-          level_(util::simd::activeLevel())
-    {
-        LOCSIM_ASSERT(vcs >= 1 && vcs <= kMaxVcs, "VC count range");
-        LOCSIM_ASSERT(lanes >= 1, "lane count must be >= 1");
-        rotators_.reserve(static_cast<std::size_t>(shards));
-        for (int s = 0; s < shards; ++s) {
-            rotators_.push_back(
-                std::make_unique<LinkRotator<CreditLinkStore>>(*this));
-        }
+    dirty_ = false;
+    // First-touch order is the measured optimum for this drain.
+    // Two alternatives were tried on the congested 16x16 fabric
+    // (interleaved A/B, medians of 5): ascending-id order via
+    // sorting touched_ read 6% slower (first-touch already
+    // matches the cycle's write order, so the control words are
+    // the cache's warmest lines and the sort is pure overhead),
+    // and software-prefetching the next touched word's control
+    // line read 5% slower (the lines are resident; the hint only
+    // added a branch). The drain is not on the 16x16 critical
+    // path — per-flit switch traversal is (docs/PERFORMANCE.md).
+    for (const std::uint32_t word : touched_) {
+        store_.publishWord(word,
+                           std::exchange(dirty_words_[word], 0));
     }
-
-    /** Direct subsequent add() calls to lane @p lane. */
-    void
-    beginLane(int lane)
-    {
-        LOCSIM_ASSERT(lane >= 0 && lane < lanes_, "lane out of range");
-        lane_ = lane;
-    }
-
-    /** Channels allocated so far by lane @p lane. */
-    std::uint32_t
-    laneChannels(int lane) const
-    {
-        return per_lane_next_[static_cast<std::size_t>(lane)];
-    }
-
-    ChannelId
-    add(int owner)
-    {
-        const std::size_t logical =
-            per_lane_next_[static_cast<std::size_t>(lane_)]++;
-        const auto id = static_cast<ChannelId>(
-            logical * stride_ + static_cast<std::size_t>(lane_));
-        if (ids_ <= id) {
-            ids_ = static_cast<std::size_t>(id) + 1;
-            const std::size_t padded = detail::paddedIds(id);
-            if (meta_.size() < padded) {
-                meta_.resize(padded);
-                remote_bits_.resize(padded >> 6, 0);
-            }
-            counts_.resize(ids_ * 2 * static_cast<std::size_t>(vcs_),
-                           0);
-        }
-        meta_[id] = Meta{};
-        meta_[id].owner = static_cast<std::uint16_t>(owner);
-        remote_bits_[id >> 6] &= ~(1ull << (id & 63u));
-        const std::size_t st = stagedBase(id);
-        for (int vc = 0; vc < 2 * vcs_; ++vc)
-            counts_[st + static_cast<std::size_t>(vc)] = 0;
-        rotators_[static_cast<std::size_t>(owner)]->ensure(id);
-        return id;
-    }
-
-    std::size_t channelCount() const { return ids_; }
-
-    sim::Rotatable *rotator(int s)
-    {
-        return rotators_[static_cast<std::size_t>(s)].get();
-    }
-
-    void
-    bindWake(ChannelId id, std::uint32_t *mask, std::uint32_t bit)
-    {
-        meta_[id].wake.bindLocal(mask, bit);
-        remote_bits_[id >> 6] &= ~(1ull << (id & 63u));
-    }
-
-    void
-    bindRemoteWake(ChannelId id, std::atomic<std::uint32_t> *mask,
-                   std::uint32_t bit)
-    {
-        meta_[id].wake.bindRemote(mask, bit);
-        remote_bits_[id >> 6] |= 1ull << (id & 63u);
-    }
-
-    /** Return one credit for (id, vc); visible after rotation. */
-    void
-    push(ChannelId id, int vc)
-    {
-        ++counts_[stagedBase(id) + static_cast<std::size_t>(vc)];
-        const Meta &m = meta_[id];
-        rotators_[m.owner]->markChannel(id);
-        m.wake.wakeOnPush();
-    }
-
-    /** Drain and return all visible credits for (id, vc). */
-    int
-    take(ChannelId id, int vc)
-    {
-        int &count =
-            counts_[visibleBase(id) + static_cast<std::size_t>(vc)];
-        return std::exchange(count, 0);
-    }
-
-    /** Drain and return all visible credits of @p id across VCs. */
-    int
-    takeAll(ChannelId id)
-    {
-        int total = 0;
-        int *vis = counts_.data() + visibleBase(id);
-        for (int vc = 0; vc < vcs_; ++vc)
-            total += std::exchange(vis[vc], 0);
-        return total;
-    }
-
-    void
-    publishChannel(ChannelId id)
-    {
-        const Meta &m = meta_[id];
-        m.wake.wakeOnPublish();
-        int *st = counts_.data() + stagedBase(id);
-        int *vis = st + vcs_;
-        for (int vc = 0; vc < vcs_; ++vc) {
-            vis[vc] += st[vc];
-            st[vc] = 0;
-        }
-    }
-
-    /** Publish every dirty channel of one word (rotation phase only);
-     *  see FlitLinkStore::publishWord for the remote/vector split. */
-    void
-    publishWord(std::uint32_t word, std::uint64_t bits)
-    {
-        const ChannelId base = static_cast<ChannelId>(word) << 6;
-        std::uint64_t remote = bits & remote_bits_[word];
-        while (remote != 0) {
-            const int b = std::countr_zero(remote);
-            remote &= remote - 1;
-            meta_[base + static_cast<ChannelId>(b)]
-                .wake.wakeOnPublish();
-        }
-        kernels::creditPublishWord(counts_.data() + stagedBase(base),
-                                   bits, vcs_, level_);
-    }
-
-    /** Byte-identical to the old CreditPipe stream. */
-    void
-    saveChannel(util::Serializer &s, ChannelId id) const
-    {
-        const std::size_t st = stagedBase(id);
-        const std::size_t vis = visibleBase(id);
-        for (int vc = 0; vc < vcs_; ++vc) {
-            s.put(counts_[st + static_cast<std::size_t>(vc)]);
-            s.put(counts_[vis + static_cast<std::size_t>(vc)]);
-        }
-    }
-
-    void
-    loadChannel(util::Deserializer &d, ChannelId id)
-    {
-        const std::size_t st = stagedBase(id);
-        const std::size_t vis = visibleBase(id);
-        for (int vc = 0; vc < vcs_; ++vc) {
-            counts_[st + static_cast<std::size_t>(vc)] = d.get<int>();
-            counts_[vis + static_cast<std::size_t>(vc)] = d.get<int>();
-        }
-    }
-
-    /** Resident bytes of counter + metadata storage (footprint). */
-    std::size_t
-    memoryBytes() const
-    {
-        return counts_.capacity() * sizeof(int) +
-               meta_.capacity() * sizeof(Meta) +
-               remote_bits_.capacity() * sizeof(std::uint64_t) +
-               per_lane_next_.capacity() * sizeof(std::uint32_t);
-    }
-
-  private:
-    struct Meta
-    {
-        WakeBinding wake;
-        std::uint16_t owner = 0;
-    };
-
-    /** Per-channel layout: [staged x vcs][visible x vcs], so one
-     *  credit operation touches a single cache line of counters. */
-    std::size_t
-    stagedBase(ChannelId id) const
-    {
-        return 2 * static_cast<std::size_t>(id) *
-               static_cast<std::size_t>(vcs_);
-    }
-
-    std::size_t
-    visibleBase(ChannelId id) const
-    {
-        return stagedBase(id) + static_cast<std::size_t>(vcs_);
-    }
-
-    int vcs_;
-    int lanes_ = 1;
-    int lane_ = 0;
-    std::size_t stride_ = 1;
-    std::size_t ids_ = 0;
-    std::vector<std::uint32_t> per_lane_next_;
-    util::simd::Level level_;
-    std::vector<int> counts_;
-    std::vector<Meta> meta_;
-    /** Channels whose wake binding is remote, per dirty word. */
-    std::vector<std::uint64_t> remote_bits_;
-
-    std::vector<std::unique_ptr<LinkRotator<CreditLinkStore>>>
-        rotators_;
-};
-
-/**
- * The pair of SoA stores one fabric (or one K-lane batch of fabrics)
- * draws its links from. A solo Network owns one of these; a batch
- * owner (machine::MachineBatch, or a bench harness) constructs one
- * with lanes == K, points each lane's Network at it, and registers
- * the rotators with the shared engines exactly once.
- */
-class LinkStores
-{
-  public:
-    LinkStores(int max_occupancy, int vcs, int shards, int lanes = 1)
-        : flits(max_occupancy, shards, lanes),
-          credits(vcs, shards, lanes)
-    {
-    }
-
-    /** Direct both stores' subsequent add() calls to lane @p lane. */
-    void
-    beginLane(int lane)
-    {
-        flits.beginLane(lane);
-        credits.beginLane(lane);
-    }
-
-    /**
-     * Register each store's per-shard rotator with the matching
-     * engine. Call once per batch, not once per lane: the rotator is
-     * shared by every lane's channels, and a double registration
-     * would rotate it twice per tick in Reference mode.
-     */
-    template <typename EngineT>
-    void
-    registerRotators(const std::vector<EngineT *> &engines)
-    {
-        for (std::size_t s = 0; s < engines.size(); ++s) {
-            engines[s]->addChannel(flits.rotator(static_cast<int>(s)));
-            engines[s]->addChannel(
-                credits.rotator(static_cast<int>(s)));
-        }
-    }
-
-    FlitLinkStore flits;
-    CreditLinkStore credits;
-};
+    touched_.clear();
+}
 
 } // namespace net
 } // namespace locsim

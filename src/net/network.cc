@@ -47,7 +47,7 @@ nodeCountFor(const NetworkConfig &config)
 } // namespace
 
 Network::Network(sim::Engine &engine, const NetworkConfig &config,
-                 LinkStores *shared)
+                 FlitLinkStore *shared)
     : Network(config, std::vector<sim::Engine *>{&engine},
               ShardPlan::contiguous(nodeCountFor(config), 1), shared)
 {
@@ -55,22 +55,19 @@ Network::Network(sim::Engine &engine, const NetworkConfig &config,
 
 Network::Network(const NetworkConfig &config,
                  const std::vector<sim::Engine *> &engines,
-                 const ShardPlan &plan, LinkStores *shared)
+                 const ShardPlan &plan, FlitLinkStore *shared)
     : config_(config),
       topo_(config.radix, config.dims, config.wraparound),
       plan_(plan), engines_(engines),
       // Credit flow control bounds link occupancy to the downstream
       // buffer depth; +2 leaves slack for the cycle of latching delay
       // on each side of the credit loop.
-      owned_stores_(shared != nullptr
-                        ? nullptr
-                        : std::make_unique<LinkStores>(
-                              config.router.buffer_depth + 2,
-                              config.router.vcs, plan.shards)),
-      flit_store_(shared != nullptr ? shared->flits
-                                    : owned_stores_->flits),
-      credit_store_(shared != nullptr ? shared->credits
-                                      : owned_stores_->credits)
+      owned_flits_(shared != nullptr
+                       ? nullptr
+                       : std::make_unique<FlitLinkStore>(
+                             config.router.buffer_depth + 2,
+                             plan.shards)),
+      flit_store_(shared != nullptr ? *shared : *owned_flits_)
 {
     const sim::NodeId n = topo_.nodeCount();
     const int K = plan_.shards;
@@ -81,21 +78,15 @@ Network::Network(const NetworkConfig &config,
                       plan_.first(0) == 0 && plan_.last(K - 1) == n,
                   "shard plan does not cover the fabric");
 
-    // Each shard engine rotates its slice of the link stores through
-    // one batch rotator per store: channels register with the rotator
-    // of the shard that PUSHES into them, so publication happens on
-    // the producer's thread; cross-shard consumers learn about new
+    // Each shard engine rotates its slice of the flit store through
+    // one batch rotator: channels register with the rotator of the
+    // shard that PUSHES into them, so publication happens on the
+    // producer's thread; cross-shard consumers learn about new
     // content through the remote wake words bound below. A batched
     // fabric's rotators are shared across lanes, so the batch owner
     // registers them exactly once itself.
-    if (shared == nullptr) {
-        for (int s = 0; s < K; ++s) {
-            engines_[static_cast<std::size_t>(s)]->addChannel(
-                flit_store_.rotator(s));
-            engines_[static_cast<std::size_t>(s)]->addChannel(
-                credit_store_.rotator(s));
-        }
-    }
+    if (shared == nullptr)
+        flit_store_.registerRotators(engines_);
 
     routers_.reserve(n);
     endpoints_.resize(n);
@@ -110,15 +101,28 @@ Network::Network(const NetworkConfig &config,
         ep.delivered.reserve(32);
     }
     inject_link_.resize(n);
-    inject_credit_.resize(n);
     eject_link_.resize(n);
-    eject_credit_.resize(n);
     shards_.resize(static_cast<std::size_t>(K));
-    for (ShardState &shard : shards_)
+    for (int s = 0; s < K; ++s) {
+        ShardState &shard = shards_[static_cast<std::size_t>(s)];
         shard.records.reserve(static_cast<std::size_t>(n) * 8);
+        const std::size_t words =
+            (static_cast<std::size_t>(plan_.last(s) - plan_.first(s)) +
+             31u) /
+            32u;
+        shard.eject_work.assign(words, 0u);
+        shard.inject_work.assign(words, 0u);
+        shard.outbox.assign(static_cast<std::size_t>(K), nullptr);
+    }
+    const std::size_t boxes =
+        static_cast<std::size_t>(K) * static_cast<std::size_t>(K);
     for (auto &parity : record_mail_)
-        parity.resize(static_cast<std::size_t>(K) *
-                      static_cast<std::size_t>(K));
+        parity.resize(boxes);
+    // A sequential fabric posts into one box forever; a sharded one
+    // re-points each shard's outboxes at the tick's parity.
+    for (auto &parity : credit_mail_)
+        parity.resize(boxes);
+    shards_[0].outbox[0] = &credit_mail_[0][0];
     tracers_.assign(static_cast<std::size_t>(K), nullptr);
     node_tracks_.assign(n, -1);
     profile_slots_.assign(static_cast<std::size_t>(K), nullptr);
@@ -128,11 +132,6 @@ Network::Network(const NetworkConfig &config,
     auto make_flit_channel = [&](int owner_shard) {
         const ChannelId id = flit_store_.add(owner_shard);
         flit_channels_.push_back(id);
-        return id;
-    };
-    auto make_credit_channel = [&](int owner_shard) {
-        const ChannelId id = credit_store_.add(owner_shard);
-        credit_channels_.push_back(id);
         return id;
     };
 
@@ -155,8 +154,6 @@ Network::Network(const NetworkConfig &config,
         (static_cast<std::size_t>(n) + 7u) & ~std::size_t{7};
     flit_wake_staged_.assign(padded_nodes, 0u);
     flit_wake_.assign(padded_nodes, 0u);
-    credit_wake_staged_.assign(padded_nodes, 0u);
-    credit_wake_.assign(padded_nodes, 0u);
     buffered_slab_.assign(padded_nodes, 0u);
 
     for (sim::NodeId node = 0; node < n; ++node) {
@@ -172,26 +169,25 @@ Network::Network(const NetworkConfig &config,
                               static_cast<std::size_t>(units) * vc_cap;
         slices.flit_wake_staged = flit_wake_staged_.data() + node;
         slices.flit_wake = flit_wake_.data() + node;
-        slices.credit_wake_staged = credit_wake_staged_.data() + node;
-        slices.credit_wake = credit_wake_.data() + node;
         slices.buffered = buffered_slab_.data() + node;
-        routers_.push_back(arena_.make<Router>(topo_, node,
-                                               config_.router,
-                                               flit_store_,
-                                               credit_store_, slices));
+        slices.inject_bank = &endpoints_[node].inject_bank;
+        routers_.push_back(arena_.make<Router>(
+            topo_, node, config_.router, flit_store_, slices));
     }
 
     // Wire neighbor links. For each node and each (dim, dir) we create
-    // the unidirectional flit channel node -> neighbor and its credit
-    // return channel. The channel leaving `node` on port p arrives at
-    // the neighbor on the port of the opposite direction.
+    // the unidirectional flit channel node -> neighbor; the neighbor
+    // returns its credits to node's output port as mail. The channel
+    // leaving `node` on port p arrives at the neighbor on the port of
+    // the opposite direction. Each link and each ejection link returns
+    // at most one credit per cycle, which sizes the mailboxes.
     struct PortWiring
     {
         ChannelId in = kNoChannel;
         ChannelId out = kNoChannel;
-        ChannelId credit_up = kNoChannel;
-        ChannelId credit_down = kNoChannel;
+        CreditReturn credit_up;
     };
+    std::vector<std::size_t> box_bound(boxes, 0);
     std::vector<std::vector<PortWiring>> wiring(
         n, std::vector<PortWiring>(static_cast<std::size_t>(ports)));
 
@@ -204,45 +200,55 @@ Network::Network(const NetworkConfig &config,
                 // Flits are pushed by node's router; credits are
                 // returned by the neighbor's.
                 const ChannelId flits = make_flit_channel(shardOf(node));
-                const ChannelId credits =
-                    make_credit_channel(shardOf(nbr));
                 const auto out_port =
                     static_cast<std::size_t>(Router::portFor(dim, dir));
                 const auto in_port = static_cast<std::size_t>(
                     Router::portFor(dim, -dir));
                 wiring[node][out_port].out = flits;
-                wiring[node][out_port].credit_down = credits;
                 wiring[nbr][in_port].in = flits;
-                wiring[nbr][in_port].credit_up = credits;
+                wiring[nbr][in_port].credit_up = CreditReturn{
+                    node, static_cast<std::uint8_t>(out_port),
+                    static_cast<std::uint16_t>(shardOf(node))};
+                ++box_bound[static_cast<std::size_t>(
+                    shardOf(node) * K + shardOf(nbr))];
             }
         }
         // Local (node <-> router) channels; endpoint and router are
-        // always co-sharded.
+        // always co-sharded. The router banks injection credits
+        // directly; ejection credits return as mail.
         const auto local =
             static_cast<std::size_t>(2 * config_.dims);
-        inject_link_[node] = make_flit_channel(shardOf(node));
-        inject_credit_[node] = make_credit_channel(shardOf(node));
-        eject_link_[node] = make_flit_channel(shardOf(node));
-        eject_credit_[node] = make_credit_channel(shardOf(node));
+        const int s = shardOf(node);
+        inject_link_[node] = make_flit_channel(s);
+        eject_link_[node] = make_flit_channel(s);
         wiring[node][local].in = inject_link_[node];
-        wiring[node][local].credit_up = inject_credit_[node];
         wiring[node][local].out = eject_link_[node];
-        wiring[node][local].credit_down = eject_credit_[node];
+        ++box_bound[static_cast<std::size_t>(s * K + s)];
+        // A push onto the ejection link marks the endpoint's work bit;
+        // the flit is visible by the next ejection phase.
+        const sim::NodeId rel = node - plan_.first(s);
+        flit_store_.bindWake(
+            eject_link_[node],
+            &shards_[static_cast<std::size_t>(s)].eject_work[rel >> 5],
+            1u << (rel & 31u));
 
         endpoints_[node].inject_credits = config_.router.buffer_depth;
+    }
+    for (auto &parity : credit_mail_) {
+        for (std::size_t b = 0; b < parity.size(); ++b)
+            parity[b].mail.reserve(box_bound[b]);
     }
 
     for (sim::NodeId node = 0; node < n; ++node) {
         for (int port = 0; port < ports; ++port) {
             const auto &w =
                 wiring[node][static_cast<std::size_t>(port)];
-            routers_[node]->connect(port, w.in, w.out, w.credit_up,
-                                    w.credit_down);
+            routers_[node]->connect(port, w.in, w.out, w.credit_up);
         }
     }
 
-    // Re-bind the wakes of shard-crossing channels to the consumer
-    // router's atomic remote words (connect() above bound them to the
+    // Re-bind the wakes of shard-crossing flit links to the consumer
+    // router's atomic remote word (connect() above bound them to the
     // plain staged words, which are only safe within one shard). The
     // bit is the consumer-side port, mirroring Router::connect.
     if (K > 1) {
@@ -264,11 +270,6 @@ Network::Network(const NetworkConfig &config,
                         wiring[node][out_port].out,
                         &routers_[nbr]->remoteFlitWakeWord(),
                         1u << in_port);
-                    // Its credit return wakes node's router.
-                    credit_store_.bindRemoteWake(
-                        wiring[node][out_port].credit_down,
-                        &routers_[node]->remoteCreditWakeWord(),
-                        1u << out_port);
                 }
             }
         }
@@ -357,6 +358,8 @@ Network::send(Message msg)
     shard.records.insert(msg.id, h);
 
     ep.source_queue.push_back(msg);
+    const sim::NodeId rel = msg.src - plan_.first(s);
+    shard.inject_work[rel >> 5] |= 1u << (rel & 31u);
     ++shard.stats.messages_sent;
     shard.stats.flits.add(static_cast<double>(msg.flits));
     ++shard.in_flight;
@@ -406,24 +409,24 @@ Network::idle() const
     return inFlight() == 0;
 }
 
-void
+bool
 Network::tickInjection(sim::NodeId node, sim::Tick now)
 {
     NodeEndpoint &ep = endpoints_[node];
 
     if (ep.source_queue.empty())
-        return;
+        return false;
 
-    // Collect returned injection credits. Credits bank up in the link
-    // while the node has nothing to send, so collecting them lazily
-    // (only when a message wants to inject) is equivalent to
-    // collecting every cycle.
-    ep.inject_credits += credit_store_.takeAll(inject_credit_[node]);
+    // Collect returned injection credits. Credits bank up while the
+    // node has nothing to send, so collecting them lazily (only when
+    // a message wants to inject) is equivalent to collecting every
+    // cycle.
+    ep.inject_credits += std::exchange(ep.inject_bank, 0);
     LOCSIM_ASSERT(ep.inject_credits <= config_.router.buffer_depth,
                   "injection credit overflow at node ", node);
 
     if (ep.inject_credits == 0)
-        return;
+        return true;
 
     Message &msg = ep.source_queue.front();
     if (ep.flits_sent == 0) {
@@ -474,9 +477,10 @@ Network::tickInjection(sim::NodeId node, sim::Tick now)
         ep.source_queue.pop_front();
         ep.flits_sent = 0;
     }
+    return !ep.source_queue.empty();
 }
 
-void
+bool
 Network::tickEjection(sim::NodeId node, sim::Tick now)
 {
     NodeEndpoint &ep = endpoints_[node];
@@ -485,9 +489,13 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
     // The node drains one flit per network cycle (an 8-bit channel
     // delivers one flit per cycle, Section 3.1).
     if (flit_store_.empty(link))
-        return;
+        return false;
     Flit flit = flit_store_.pop(link);
-    credit_store_.push(eject_credit_[node], flit.vc);
+    const int s = shardOf(node);
+    ShardState &shard = shards_[static_cast<std::size_t>(s)];
+    shard.outbox[static_cast<std::size_t>(s)]->mail.push_back(
+        {node, static_cast<std::uint8_t>(2 * config_.dims), flit.vc});
+    const bool more = !flit_store_.empty(link);
 
     // Wormhole ejection delivers one message head-to-tail at a time
     // (the ejection output VC is owned until the tail), so the
@@ -503,9 +511,6 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
                   " got ", flit.seq);
     ++ep.arrived_count;
 
-    const int s = shardOf(node);
-    ShardState &shard = shards_[static_cast<std::size_t>(s)];
-
     if (flit.head) {
         // Harvest the head flit's attribution counters; body flits
         // follow the opened path and carry none.
@@ -517,7 +522,7 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
     }
 
     if (!flit.tail)
-        return;
+        return more;
 
     RecordHandle *hp = shard.records.find(flit.msg);
     LOCSIM_ASSERT(hp != nullptr, "tail for unknown message");
@@ -576,6 +581,7 @@ Network::tickEjection(sim::NodeId node, sim::Tick now)
                                static_cast<int>(rec.head_stalls)))
                 .str());
     }
+    return more;
 }
 
 void
@@ -601,6 +607,76 @@ Network::drainRecordMail(int dst_shard, sim::Tick now)
     }
 }
 
+CreditBox &
+Network::creditBox(int dst, int src, sim::Tick next)
+{
+    const int K = plan_.shards;
+    if (K == 1)
+        return credit_mail_[0][0];
+    // Mail posted during tick t sits in parity t&1 until tick t+1.
+    return credit_mail_[(next + 1) & 1]
+                       [static_cast<std::size_t>(dst * K + src)];
+}
+
+void
+Network::applyCreditMail(CreditBox &box)
+{
+    for (const CreditMail &m : box.mail)
+        routers_[m.node]->receiveCredit(m.port, m.vc);
+    box.mail.clear();
+}
+
+void
+Network::drainCreditMail(int s, sim::Tick now)
+{
+    // Same parity discipline as drainRecordMail: the boxes read here
+    // are never the ones this tick posts into.
+    for (int src = 0; src < plan_.shards; ++src)
+        applyCreditMail(creditBox(s, src, now));
+}
+
+void
+Network::drainAllCreditMail(int s)
+{
+    // Only a quiescence skip calls this, while no shard posts; credit
+    // application commutes, so draining both parities at once equals
+    // draining them at their own ticks.
+    const int K = plan_.shards;
+    for (auto &parity : credit_mail_) {
+        for (int src = 0; src < K; ++src) {
+            applyCreditMail(
+                parity[static_cast<std::size_t>(s * K + src)]);
+        }
+    }
+}
+
+namespace {
+
+/**
+ * Visit the set bits of a shard's work bitset in ascending node
+ * order, calling @p tick(node) for each and clearing the bit when it
+ * returns false (the endpoint ran out of work).
+ */
+template <typename Fn>
+void
+visitWork(std::vector<std::uint32_t> &words, sim::NodeId first,
+          Fn &&tick)
+{
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        std::uint32_t bits = words[w];
+        while (bits != 0) {
+            const int b = std::countr_zero(bits);
+            bits &= bits - 1;
+            const auto node = static_cast<sim::NodeId>(
+                first + w * 32 + static_cast<std::size_t>(b));
+            if (!tick(node))
+                words[w] &= ~(1u << b);
+        }
+    }
+}
+
+} // namespace
+
 void
 Network::tickShard(int s, sim::Tick now)
 {
@@ -610,65 +686,59 @@ Network::tickShard(int s, sim::Tick now)
 
     const sim::NodeId lo = plan_.first(s);
     const sim::NodeId hi = plan_.last(s);
+    ShardState &shard = shards_[static_cast<std::size_t>(s)];
 
-    if (simd_level_ == util::simd::Level::Off) {
-        // Scalar reference path (LOCSIM_SIMD=off): the kernel path
-        // below must stay bit-identical to this one — CI diffs the
-        // two builds byte-for-byte.
-        //
-        // Latch the wake bits staged by last cycle's channel pushes
-        // (including cross-shard pushes, via the routers' remote
-        // words) before anything pushes this cycle: injection,
-        // ejection credits and router traversal below all stage wakes
-        // for the NEXT cycle, matching the channels' one-cycle
-        // latching delay.
-        for (sim::NodeId node = lo; node < hi; ++node)
-            routers_[node]->latchWakes();
-        if (plan_.shards > 1)
-            drainRecordMail(s, now);
-        for (sim::NodeId node = lo; node < hi; ++node)
-            tickEjection(node, now);
-        for (sim::NodeId node = lo; node < hi; ++node)
-            tickInjection(node, now);
-        // An idle router's tick is a no-op (no buffered flits,
-        // nothing visible on its channels, and its arbitration state
-        // is derived from `now`), so skipping it cannot change
-        // behavior.
-        for (sim::NodeId node = lo; node < hi; ++node) {
-            if (routers_[node]->busy())
-                routers_[node]->tick(now);
+    // Credits returned last cycle reach their routers before any
+    // router ticks, exactly one cycle after they were posted.
+    drainCreditMail(s, now);
+    if (plan_.shards > 1) {
+        for (int dst = 0; dst < plan_.shards; ++dst) {
+            shard.outbox[static_cast<std::size_t>(dst)] =
+                &credit_mail_[now & 1][static_cast<std::size_t>(
+                    dst * plan_.shards + s)];
         }
-        return;
+        drainRecordMail(s, now);
     }
+    // Ejection neither pushes into a router input nor reads a wake
+    // word, so it may run before the latch.
+    visitWork(shard.eject_work, lo, [&](sim::NodeId node) {
+        return tickEjection(node, now);
+    });
 
-    // Lane-vector path: the same latch / eject / inject / dispatch
-    // sequence, but the start-of-cycle latch and busy evaluation run
-    // as a vector kernel over groups of 8 contiguous nodes. Busy is
-    // computed at latch time rather than after injection; the two are
-    // identical because ejection and injection only *stage* wakes for
-    // the next cycle (and buffered counts change only inside router
-    // ticks), so nothing a dispatch decision depends on moves in
-    // between.
+    // Latch the wake bits staged by last cycle's flit pushes
+    // (including cross-shard pushes, via the routers' remote words)
+    // before anything pushes this cycle: injection and router
+    // traversal below stage wakes for the NEXT cycle, matching the
+    // links' one-cycle latching delay. Busy is evaluated at latch time
+    // rather than after injection; the two are identical because
+    // injection only *stages* wakes (and buffered counts change only
+    // inside router ticks), so nothing a dispatch decision depends on
+    // moves in between.
+    //
+    // The latch runs as a lane-vector kernel over groups of 8
+    // contiguous nodes, [vlo, vhi) at absolute offsets. The last shard
+    // rounds up into the slab padding (pad words are never staged, so
+    // they always evaluate idle); every other shard rounds inward and
+    // peels its edge nodes to scalar — a boundary group can be shared
+    // with a neighboring shard ticking concurrently, and only
+    // whole-group ownership makes the vector read-modify-write
+    // race-free. With LOCSIM_SIMD=off every node takes the scalar
+    // latch, which CI diffs against the kernel byte for byte.
     auto &busy = busy_scratch_[static_cast<std::size_t>(s)];
     const auto lo_s = static_cast<std::size_t>(lo);
     const auto hi_s = static_cast<std::size_t>(hi);
     const std::size_t gfirst = lo_s / 8;
-    // Vector range [vlo, vhi): whole groups of 8 at absolute offsets.
-    // The last shard rounds up into the slab padding (pad words are
-    // never staged, so they always evaluate idle); every other shard
-    // rounds inward and peels its edge nodes to scalar — a boundary
-    // group can be shared with a neighboring shard ticking
-    // concurrently, and only whole-group ownership makes the vector
-    // read-modify-write race-free.
-    const std::size_t vlo = (lo_s + 7u) & ~std::size_t{7};
-    std::size_t vhi = hi_s == routers_.size()
-                          ? (hi_s + 7u) & ~std::size_t{7}
-                          : hi_s & ~std::size_t{7};
+    const bool vector = simd_level_ != util::simd::Level::Off;
+    const std::size_t vlo = vector ? (lo_s + 7u) & ~std::size_t{7} : hi_s;
+    std::size_t vhi = !vector                   ? hi_s
+                      : hi_s == routers_.size() ? (hi_s + 7u) & ~std::size_t{7}
+                                                : hi_s & ~std::size_t{7};
     if (vhi < vlo)
         vhi = vlo;
     {
         obs::ScopedPhase kernel(
-            profile_slots_[static_cast<std::size_t>(s)],
+            vector ? profile_slots_[static_cast<std::size_t>(s)]
+                   : nullptr,
             obs::Phase::RouterKernel);
         // Cross-shard wakes fold into the staged words first, so the
         // vector latch picks them up exactly as latchWakes() would
@@ -688,7 +758,6 @@ Network::tickShard(int s, sim::Tick now)
         if (vhi > vlo) {
             kernels::routerLatchBusy(
                 flit_wake_staged_.data(), flit_wake_.data(),
-                credit_wake_staged_.data(), credit_wake_.data(),
                 buffered_slab_.data(), vlo, vhi,
                 busy.data() + (vlo / 8 - gfirst), simd_level_);
         }
@@ -699,15 +768,14 @@ Network::tickShard(int s, sim::Tick now)
                     static_cast<std::uint8_t>(1u << (node & 7));
         }
     }
-    if (plan_.shards > 1)
-        drainRecordMail(s, now);
-    for (sim::NodeId node = lo; node < hi; ++node)
-        tickEjection(node, now);
-    for (sim::NodeId node = lo; node < hi; ++node)
-        tickInjection(node, now);
-    // Dispatch straight off the busy bytes, ascending — the same
-    // node order as the scalar scan, without re-deriving busy per
-    // node.
+    visitWork(shard.inject_work, lo, [&](sim::NodeId node) {
+        return tickInjection(node, now);
+    });
+    CreditBox *const *outbox = shard.outbox.data();
+    // Dispatch straight off the busy bytes, in ascending node order.
+    // An idle router's tick is a no-op (no buffered flits, nothing
+    // visible on its channels, and its arbitration state is derived
+    // from `now`), so skipping it cannot change behavior.
     for (std::size_t g = 0; g < busy.size(); ++g) {
         std::uint32_t bits = busy[g];
         while (bits != 0) {
@@ -715,7 +783,7 @@ Network::tickShard(int s, sim::Tick now)
             bits &= bits - 1;
             const auto node = static_cast<sim::NodeId>(
                 (gfirst + g) * 8 + static_cast<std::size_t>(b));
-            routers_[node]->tick(now);
+            routers_[node]->tick(now, outbox);
         }
     }
 }
@@ -873,14 +941,17 @@ Network::memoryBytes() const
                             sizeof(Router::OutputPort) +
                         vc_slab_.capacity() * sizeof(Flit);
     bytes += (flit_wake_staged_.capacity() + flit_wake_.capacity() +
-              credit_wake_staged_.capacity() + credit_wake_.capacity() +
               buffered_slab_.capacity()) *
              sizeof(std::uint32_t);
     for (const auto &scratch : busy_scratch_)
         bytes += scratch.capacity();
-    if (owned_stores_ != nullptr) {
-        bytes += flit_store_.memoryBytes() +
-                 credit_store_.memoryBytes();
+    if (owned_flits_ != nullptr)
+        bytes += flit_store_.memoryBytes();
+    for (const auto &parity : credit_mail_) {
+        for (const CreditBox &box : parity) {
+            bytes += sizeof(CreditBox) +
+                     box.mail.capacity() * sizeof(CreditMail);
+        }
     }
     for (const NodeEndpoint &ep : endpoints_) {
         bytes += ep.source_queue.memoryBytes() +
@@ -889,7 +960,11 @@ Network::memoryBytes() const
     bytes += endpoints_.capacity() * sizeof(NodeEndpoint);
     for (const ShardState &shard : shards_) {
         bytes += shard.record_pool.memoryBytes() +
-                 shard.records.memoryBytes();
+                 shard.records.memoryBytes() +
+                 (shard.eject_work.capacity() +
+                  shard.inject_work.capacity()) *
+                     sizeof(std::uint32_t) +
+                 shard.outbox.capacity() * sizeof(CreditBox *);
     }
     bytes += shards_.capacity() * sizeof(ShardState);
     return bytes;
@@ -949,6 +1024,49 @@ NetworkStats::loadState(util::Deserializer &d)
         loadAttribution(d, attr);
 }
 
+template <typename Fn>
+void
+Network::forEachCreditLink(Fn &&fn) const
+{
+    // Mirrors the constructor's wiring loop, which once created one
+    // credit link per flit link, then the injection and ejection
+    // endpoint links of each node.
+    for (sim::NodeId node = 0; node < topo_.nodeCount(); ++node) {
+        for (int dim = 0; dim < config_.dims; ++dim) {
+            for (int dir : {+1, -1}) {
+                if (topo_.neighbor(node, dim, dir) != sim::kNodeNone)
+                    fn(node, Router::portFor(dim, dir));
+            }
+        }
+        fn(node, -1);
+        fn(node, 2 * config_.dims);
+    }
+}
+
+std::size_t
+Network::creditSlot(sim::NodeId node, int port, int vc) const
+{
+    const auto ports = static_cast<std::size_t>(2 * config_.dims + 1);
+    return (static_cast<std::size_t>(node) * ports +
+            static_cast<std::size_t>(port)) *
+               static_cast<std::size_t>(config_.router.vcs) +
+           static_cast<std::size_t>(vc);
+}
+
+std::vector<int>
+Network::pendingCredits() const
+{
+    std::vector<int> pending(
+        creditSlot(topo_.nodeCount(), 0, 0), 0);
+    for (const auto &parity : credit_mail_) {
+        for (const CreditBox &box : parity) {
+            for (const CreditMail &m : box.mail)
+                ++pending[creditSlot(m.node, m.port, m.vc)];
+        }
+    }
+    return pending;
+}
+
 void
 Network::saveState(util::Serializer &s) const
 {
@@ -964,10 +1082,31 @@ Network::saveState(util::Serializer &s) const
     // any shard count and restores at any other.
     for (const ChannelId id : flit_channels_)
         flit_store_.saveChannel(s, id);
-    for (const ChannelId id : credit_channels_)
-        credit_store_.saveChannel(s, id);
-    for (const Router *router : routers_)
-        router->saveState(s);
+
+    // The credit section keeps the layout of the latched credit links
+    // the fabric once had: per link and VC, a staged count (always 0
+    // at a cycle boundary) and a visible count — the credits pending
+    // in the mail for that output port, or the injection bank.
+    const std::vector<int> pending = pendingCredits();
+    const int vcs = config_.router.vcs;
+    forEachCreditLink([&](sim::NodeId node, int port) {
+        for (int vc = 0; vc < vcs; ++vc) {
+            s.put(0);
+            s.put(port < 0 ? (vc == 0 ? endpoints_[node].inject_bank : 0)
+                           : pending[creditSlot(node, port, vc)]);
+        }
+    });
+    for (const Router *router : routers_) {
+        // Output ports with credit mail pending.
+        std::uint32_t mail_ports = 0;
+        for (int port = 0; port < router->portCount(); ++port) {
+            for (int vc = 0; vc < vcs; ++vc) {
+                if (pending[creditSlot(router->node(), port, vc)] != 0)
+                    mail_ports |= 1u << port;
+            }
+        }
+        router->saveState(s, mail_ports);
+    }
 
     for (const NodeEndpoint &ep : endpoints_) {
         s.put<std::uint64_t>(ep.source_queue.size());
@@ -1030,10 +1169,57 @@ Network::loadState(util::Deserializer &d)
 {
     for (const ChannelId id : flit_channels_)
         flit_store_.loadChannel(d, id);
-    for (const ChannelId id : credit_channels_)
-        credit_store_.loadChannel(d, id);
+
+    // Rebuild the credit mail the next tick drains (see saveState).
+    for (auto &parity : credit_mail_) {
+        for (CreditBox &box : parity)
+            box.mail.clear();
+    }
+    const sim::Tick next = engines_[0]->now();
+    const int depth = config_.router.buffer_depth;
+    forEachCreditLink([&](sim::NodeId node, int port) {
+        const int s = shardOf(node);
+        CreditBox &box = creditBox(s, s, next);
+        int bank = 0;
+        for (int vc = 0; vc < config_.router.vcs; ++vc) {
+            const int staged = d.get<int>();
+            const int visible = d.get<int>();
+            if (staged != 0) {
+                throw std::runtime_error(
+                    "Network::loadState: staged credits at a cycle "
+                    "boundary");
+            }
+            if (visible < 0 || visible > depth) {
+                throw std::runtime_error(
+                    "Network::loadState: pending credits outside "
+                    "[0, buffer depth]");
+            }
+            bank += visible;
+            for (int i = 0; port >= 0 && i < visible; ++i) {
+                box.mail.push_back({node, static_cast<std::uint8_t>(port),
+                                    static_cast<std::uint8_t>(vc)});
+            }
+        }
+        if (port < 0)
+            endpoints_[node].inject_bank = bank;
+    });
     for (Router *router : routers_)
         router->loadState(d);
+    // A credit applied on top of a full output VC would overflow it.
+    const std::vector<int> pending = pendingCredits();
+    for (const Router *router : routers_) {
+        for (int port = 0; port < router->portCount(); ++port) {
+            for (int vc = 0; vc < config_.router.vcs; ++vc) {
+                if (router->credits(port, vc) +
+                        pending[creditSlot(router->node(), port, vc)] >
+                    depth) {
+                    throw std::runtime_error(
+                        "Network::loadState: pending credits overflow "
+                        "an output VC");
+                }
+            }
+        }
+    }
 
     for (NodeEndpoint &ep : endpoints_) {
         ep.source_queue.clear();
@@ -1042,6 +1228,12 @@ Network::loadState(util::Deserializer &d)
             ep.source_queue.push_back(loadMessage(d));
         ep.flits_sent = d.get<std::uint32_t>();
         ep.inject_credits = d.get<int>();
+        if (ep.inject_credits < 0 ||
+            ep.inject_credits + ep.inject_bank > depth) {
+            throw std::runtime_error(
+                "Network::loadState: injection credits outside "
+                "[0, buffer depth]");
+        }
         ep.next_seq = d.get<std::uint64_t>();
         ep.delivered.clear();
         count = d.get<std::uint64_t>();
@@ -1061,12 +1253,26 @@ Network::loadState(util::Deserializer &d)
         }
     }
 
-    for (ShardState &shard : shards_) {
+    for (int s = 0; s < plan_.shards; ++s) {
+        ShardState &shard = shards_[static_cast<std::size_t>(s)];
         shard.records.clear();
         shard.record_pool.clear();
         shard.in_flight = 0;
         shard.pending_deliveries = 0;
         shard.stats.reset();
+        // Endpoint work bits are derived from the restored links and
+        // queues.
+        std::fill(shard.eject_work.begin(), shard.eject_work.end(), 0u);
+        std::fill(shard.inject_work.begin(), shard.inject_work.end(),
+                  0u);
+        for (sim::NodeId node = plan_.first(s); node < plan_.last(s);
+             ++node) {
+            const sim::NodeId rel = node - plan_.first(s);
+            if (!flit_store_.empty(eject_link_[node]))
+                shard.eject_work[rel >> 5] |= 1u << (rel & 31u);
+            if (!endpoints_[node].source_queue.empty())
+                shard.inject_work[rel >> 5] |= 1u << (rel & 31u);
+        }
     }
     for (auto &parity : record_mail_) {
         for (auto &box : parity)

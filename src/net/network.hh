@@ -13,21 +13,26 @@
  * send()/receive() on a node's interface; the fabric handles
  * flitization, wormhole transport, and reassembly.
  *
- * Data layout: all link channels live in two structure-of-arrays
- * stores (FlitLinkStore / CreditLinkStore) indexed by dense channel
- * ids, all router input-VC / output-port state lives in Network-owned
- * slabs sliced per router, and message accounting records live in
- * per-shard generation-checked pools indexed by a flat hash map. The
- * steady-state loop therefore walks contiguous arrays and recycles
- * pooled records without touching the allocator.
+ * Data layout: all flit links live in one structure-of-arrays store
+ * (FlitLinkStore) indexed by dense channel ids, all router input-VC /
+ * output-port state lives in Network-owned slabs sliced per router,
+ * and message accounting records live in per-shard generation-checked
+ * pools indexed by a flat hash map. Credits travel as mail (see
+ * CreditMail), and each shard ticks only the endpoints whose bits are
+ * set in its work bitsets. The steady-state loop therefore walks
+ * contiguous arrays and recycles pooled records without touching the
+ * allocator.
  *
- * Cross-shard state is limited to three mechanisms, all designed so
+ * Cross-shard state is limited to four mechanisms, all designed so
  * results are bit-identical to the sequential fabric for any shard
  * count (see docs/SHARDING.md for the full argument):
  *
- *  - Latched channels crossing a shard boundary deliver their consumer
- *    wake bits atomically during the rotation phase (see
- *    Rotatable::bindRemoteWake), never at push time.
+ *  - Flit links crossing a shard boundary deliver their consumer wake
+ *    bits atomically during the rotation phase (see
+ *    WakeBinding::bindRemote), never at push time.
+ *  - Credits posted during tick t land in parity-double-buffered
+ *    mailboxes and are applied by the upstream router's shard at the
+ *    start of tick t+1 (or when a quiescence skip jumps over it).
  *  - Message accounting records migrate from the source shard to the
  *    destination shard through parity-double-buffered mailboxes
  *    (by value: pool handles never cross shards), posted at injection
@@ -193,23 +198,23 @@ struct NetworkStats
 /**
  * The full fabric for one machine.
  *
- * Construction wires every router and registers each store's per-shard
- * rotator with its shard engine. For a sequential machine the caller
- * registers the Network itself as a Clocked component with period 1; a
- * sharded machine registers shardClocked(s) with each shard engine
- * instead.
+ * Construction wires every router and registers the flit store's
+ * per-shard rotator with its shard engine. For a sequential machine
+ * the caller registers the Network itself as a Clocked component with
+ * period 1; a sharded machine registers shardClocked(s) with each
+ * shard engine instead.
  */
 class Network : public sim::Clocked
 {
   public:
     /**
      * Sequential fabric: one engine, trivial shard plan. A non-null
-     * @p shared points at an externally owned lane-striped LinkStores
+     * @p shared points at an externally owned lane-striped flit store
      * (batched execution); the caller must have selected this fabric's
      * lane with beginLane() and registers the rotators itself.
      */
     Network(sim::Engine &engine, const NetworkConfig &config,
-            LinkStores *shared = nullptr);
+            FlitLinkStore *shared = nullptr);
 
     /**
      * Sharded fabric: engines[s] drives shard s of @p plan. All
@@ -217,7 +222,7 @@ class Network : public sim::Clocked
      */
     Network(const NetworkConfig &config,
             const std::vector<sim::Engine *> &engines,
-            const ShardPlan &plan, LinkStores *shared = nullptr);
+            const ShardPlan &plan, FlitLinkStore *shared = nullptr);
 
     ~Network() override;
 
@@ -258,8 +263,9 @@ class Network : public sim::Clocked
     void tick(sim::Tick now) override;
 
     /**
-     * Advance shard @p s one network cycle: latch its routers' wakes,
-     * drain its record mailboxes, then eject/inject/route its nodes.
+     * Advance shard @p s one network cycle: apply its credit mail,
+     * drain its record mailboxes, eject, latch its routers' wakes,
+     * then inject and route.
      * Called concurrently for distinct shards by the sharded driver
      * (phase A of a tick window).
      */
@@ -273,10 +279,10 @@ class Network : public sim::Clocked
 
     /**
      * The fabric has work while any message is between send() and tail
-     * ejection. Credits still propagating after the last delivery are
-     * deliberately not counted: receiveCredits() runs at the start of
-     * every router tick, so deferred absorption is observationally
-     * identical to eager absorption.
+     * ejection. Credit mail still pending after the last delivery is
+     * deliberately not counted: it is applied at the next tick (or by
+     * a sharded skip, see credit_mail_), before any router can spend
+     * it.
      */
     bool busy() const override { return inFlight() > 0; }
 
@@ -310,7 +316,8 @@ class Network : public sim::Clocked
     /** Cumulative failed output-VC claims across all routers. */
     std::uint64_t totalAllocStalls() const;
 
-    /** Cumulative cross-shard wake drains (0 on sequential runs). */
+    /** Cumulative cross-shard flit wake drains (0 on sequential
+     *  runs). */
     std::uint64_t totalRemoteWakes() const;
 
     /** Flits currently buffered in all routers (sampler probe). */
@@ -366,6 +373,13 @@ class Network : public sim::Clocked
         util::RingQueue<Message> source_queue;
         std::uint32_t flits_sent = 0;    //!< of the current message
         int inject_credits = 0;          //!< VC0 credits into router
+        /**
+         * Credits the router returned for the injection link, not yet
+         * collected. The router adds to it during its tick, after this
+         * endpoint's tickInjection, so a credit returned at tick T is
+         * first collected at T+1.
+         */
+        int inject_bank = 0;
         /** Message-id sequence for this source endpoint. */
         std::uint64_t next_seq = 0;
         // Ejection side.
@@ -393,14 +407,25 @@ class Network : public sim::Clocked
      * in-flight / pending counters are signed because a message's
      * increment and decrement may land on different shards; only the
      * serial-point sums are meaningful.
+     *
+     * The work bitsets hold one bit per node of the shard (bit b of
+     * word w names node first + 32w + b); tickShard visits only set
+     * bits. An ejection bit is set by the ejection link's push wake
+     * and cleared once the link is empty; an injection bit is set by
+     * send() and cleared once the source queue is empty. Aligned so
+     * shards ticking concurrently never share a cache line.
      */
-    struct ShardState
+    struct alignas(64) ShardState
     {
         RecordPool record_pool;
         util::FlatMap<MessageId, RecordHandle> records;
         NetworkStats stats;
         std::int64_t in_flight = 0;
         std::int64_t pending_deliveries = 0;
+        std::vector<std::uint32_t> eject_work;
+        std::vector<std::uint32_t> inject_work;
+        /** This tick's credit mailboxes, indexed by upstream shard. */
+        std::vector<CreditBox *> outbox;
     };
 
     /** Clocked adapter driving one shard (see shardClocked()). */
@@ -414,16 +439,43 @@ class Network : public sim::Clocked
         }
         /** Global: quiescence decisions are whole-fabric decisions. */
         bool busy() const override { return net_.busy(); }
+        void skipIdle(sim::Tick) override
+        {
+            net_.drainAllCreditMail(shard_);
+        }
 
       private:
         Network &net_;
         int shard_;
     };
 
-    void tickInjection(sim::NodeId node, sim::Tick now);
-    void tickEjection(sim::NodeId node, sim::Tick now);
+    /** Each returns whether the endpoint still has work. */
+    bool tickInjection(sim::NodeId node, sim::Tick now);
+    bool tickEjection(sim::NodeId node, sim::Tick now);
     void drainRecordMail(int dst_shard, sim::Tick now);
 
+    /** Apply the credit mail shard @p s must see at tick @p now. */
+    void drainCreditMail(int s, sim::Tick now);
+    /** Apply all of shard @p s's credit mail (quiescence skips). */
+    void drainAllCreditMail(int s);
+    void applyCreditMail(CreditBox &box);
+    /** The box of credits for shard @p dst, posted by shard @p src,
+     *  that tick @p next drains. */
+    CreditBox &creditBox(int dst, int src, sim::Tick next);
+
+    /**
+     * Call @p fn(node, port) for every credit link the fabric once
+     * had, in their construction (and checkpoint stream) order: the
+     * link returning credits to @p port of router @p node, or, with
+     * port == -1, the one returning credits to node's injection
+     * endpoint.
+     */
+    template <typename Fn> void forEachCreditLink(Fn &&fn) const;
+
+    /** Index of (node, output port, VC) in pendingCredits(). */
+    std::size_t creditSlot(sim::NodeId node, int port, int vc) const;
+    /** Credits waiting in the mail, per creditSlot(). */
+    std::vector<int> pendingCredits() const;
     int shardOf(sim::NodeId node) const { return plan_.shardOf(node); }
     std::int64_t inFlight() const;
     obs::Tracer *tracerFor(int shard) const
@@ -439,17 +491,16 @@ class Network : public sim::Clocked
     std::vector<sim::Engine *> engines_; //!< engines_[s] drives shard s
 
     /**
-     * The SoA link fabric: all flit and credit links, indexed by the
-     * dense ChannelIds recorded in the id vectors below (construction
-     * order, which the serialization stream follows). A solo fabric
-     * owns its stores and registers one batch rotator per shard with
-     * that shard's engine; a batched fabric borrows the batch owner's
-     * lane-striped stores (owned_stores_ stays null) and leaves
-     * rotator registration to the owner.
+     * The SoA link fabric: all flit links, indexed by the dense
+     * ChannelIds recorded in flit_channels_ (construction order, which
+     * the serialization stream follows). A solo fabric owns its store
+     * and registers one batch rotator per shard with that shard's
+     * engine; a batched fabric borrows the batch owner's lane-striped
+     * store (owned_flits_ stays null) and leaves rotator registration
+     * to the owner.
      */
-    std::unique_ptr<LinkStores> owned_stores_;
+    std::unique_ptr<FlitLinkStore> owned_flits_;
     FlitLinkStore &flit_store_;
-    CreditLinkStore &credit_store_;
 
     /**
      * Backing store for the routers. One fabric allocates many small
@@ -462,7 +513,6 @@ class Network : public sim::Clocked
 
     std::vector<Router *> routers_;
     std::vector<ChannelId> flit_channels_;
-    std::vector<ChannelId> credit_channels_;
 
     /**
      * Fabric-wide router state slabs, sliced per router (see
@@ -484,8 +534,6 @@ class Network : public sim::Clocked
      */
     std::vector<std::uint32_t> flit_wake_staged_;
     std::vector<std::uint32_t> flit_wake_;
-    std::vector<std::uint32_t> credit_wake_staged_;
-    std::vector<std::uint32_t> credit_wake_;
     std::vector<std::uint32_t> buffered_slab_;
 
     /**
@@ -509,9 +557,7 @@ class Network : public sim::Clocked
 
     // Per-node endpoint channels (indexed by node).
     std::vector<ChannelId> inject_link_;
-    std::vector<ChannelId> inject_credit_;
     std::vector<ChannelId> eject_link_;
-    std::vector<ChannelId> eject_credit_;
 
     std::vector<NodeEndpoint> endpoints_;
 
@@ -530,6 +576,20 @@ class Network : public sim::Clocked
      * are shard-local names and never cross shards.
      */
     std::array<std::vector<std::vector<MessageRecord>>, 2> record_mail_;
+
+    /**
+     * Credit mailboxes. A sequential fabric uses one box,
+     * credit_mail_[0][0]: it is drained at the start of each tick,
+     * before anything posts, however far a skip jumped. A sharded
+     * fabric indexes them like record_mail_, [tick parity][dst * K +
+     * src], with dst the shard of the router the credit returns to;
+     * each box is drained in fixed source order. Unlike record mail,
+     * credit mail can still be pending when the fabric goes quiescent
+     * (the last ejection's credit), so a sharded quiescence skip
+     * drains it (ShardTick::skipIdle); otherwise a jump of odd length
+     * would leave it waiting one more tick for its parity.
+     */
+    std::array<std::vector<CreditBox>, 2> credit_mail_;
 
     /** Merge target for stats() on sharded fabrics (serial use only). */
     mutable NetworkStats merged_stats_;

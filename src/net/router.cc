@@ -14,16 +14,15 @@ namespace net {
 
 Router::Router(const TorusTopology &topo, sim::NodeId node,
                const RouterConfig &config, FlitLinkStore &flits,
-               CreditLinkStore &credits, const RouterSlices &slices)
+               const RouterSlices &slices)
     : topo_(topo), node_(node), config_(config), flit_store_(flits),
-      credit_store_(credits), inputs_(slices.inputs),
-      outputs_(slices.outputs), buffered_(slices.buffered),
+      inputs_(slices.inputs), outputs_(slices.outputs),
+      buffered_(slices.buffered), inject_bank_(slices.inject_bank),
       flit_wake_staged_(slices.flit_wake_staged),
-      flit_wake_(slices.flit_wake),
-      credit_wake_staged_(slices.credit_wake_staged),
-      credit_wake_(slices.credit_wake)
+      flit_wake_(slices.flit_wake)
 {
-    LOCSIM_ASSERT(buffered_ != nullptr && flit_wake_ != nullptr,
+    LOCSIM_ASSERT(buffered_ != nullptr && flit_wake_ != nullptr &&
+                      inject_bank_ != nullptr,
                   "router wake/occupancy slab words are required");
     LOCSIM_ASSERT(config_.vcs >= 2,
                   "torus wormhole routing needs >= 2 virtual channels");
@@ -35,7 +34,7 @@ Router::Router(const TorusTopology &topo, sim::NodeId node,
     LOCSIM_ASSERT(ports * config_.vcs < 32,
                   "activity masks hold one bit per input unit");
     LOCSIM_ASSERT(ports <= kMaxPorts, "per-port arrays are fixed-size");
-    LOCSIM_ASSERT(config_.vcs <= CreditLinkStore::kMaxVcs,
+    LOCSIM_ASSERT(config_.vcs <= kMaxVcs,
                   "per-port VC state uses fixed-size arrays");
     const std::size_t vc_cap = vcRingCapacity(config_);
     const int units = unitCount();
@@ -54,63 +53,27 @@ Router::Router(const TorusTopology &topo, sim::NodeId node,
     }
     in_links_.fill(kNoChannel);
     out_links_.fill(kNoChannel);
-    credit_up_.fill(kNoChannel);
-    credit_down_.fill(kNoChannel);
 }
 
 void
 Router::connect(int port, ChannelId in, ChannelId out,
-                ChannelId credit_up, ChannelId credit_down)
+                const CreditReturn &up)
 {
     LOCSIM_ASSERT(port >= 0 && port < portCount(), "bad port index");
     const auto p = static_cast<std::size_t>(port);
     in_links_[p] = in;
     out_links_[p] = out;
-    credit_up_[p] = credit_up;
-    credit_down_[p] = credit_down;
+    credit_up_[p] = up;
     // Input channels wake this router at push time so tick() visits
     // only the ports that actually carry something.
     if (in != kNoChannel)
         flit_store_.bindWake(in, flit_wake_staged_, 1u << port);
-    if (credit_down != kNoChannel) {
-        credit_store_.bindWake(credit_down, credit_wake_staged_,
-                               1u << port);
-    }
     // The consumer downstream of `out` exposes buffer_depth slots per
     // VC; start with full credit.
     if (out != kNoChannel) {
         for (int v = 0; v < config_.vcs; ++v)
             outputs_[p].credits[static_cast<std::size_t>(v)] =
                 static_cast<std::int16_t>(config_.buffer_depth);
-    }
-}
-
-void
-Router::receiveCredits()
-{
-    // Visit only the ports whose credit links woke us; the wake
-    // contract guarantees every other credit link is empty.
-    std::uint32_t ports = std::exchange(*credit_wake_, 0u);
-    while (ports != 0) {
-        const int port = std::countr_zero(ports);
-        ports &= ports - 1;
-        const ChannelId ch = credit_down_[static_cast<std::size_t>(port)];
-        OutputPort &out = outputs_[static_cast<std::size_t>(port)];
-        for (int vc = 0; vc < config_.vcs; ++vc) {
-            const int taken = credit_store_.take(ch, vc);
-            if (taken == 0)
-                continue;
-            std::int16_t &count =
-                out.credits[static_cast<std::size_t>(vc)];
-            count = static_cast<std::int16_t>(count + taken);
-            LOCSIM_ASSERT(count <= config_.buffer_depth,
-                          "credit overflow on node ", node_, " port ",
-                          port);
-            // Credits for an owned VC may unblock this port (credits
-            // for a released VC need no re-arm: a later claim arms it).
-            if (out.owner[static_cast<std::size_t>(vc)] != -1)
-                ready_ports_ |= 1u << port;
-        }
     }
 }
 
@@ -138,7 +101,6 @@ Router::receiveFlits()
                           node_, " port ", port, " vc ",
                           static_cast<int>(flit.vc));
             ivc.bufPush(flit);
-            vc_occupied_ |= 1u << unit;
             ++*buffered_;
             if (ivc.routed) {
                 // A body flit joined a unit that holds its output VC:
@@ -262,7 +224,7 @@ Router::routeAndAllocate(sim::Tick now)
 }
 
 void
-Router::switchTraversal(sim::Tick now)
+Router::switchTraversal(sim::Tick now, CreditBox *const *outbox)
 {
     (void)now; // only read when flit-level tracing is on
     // One bit per input port; ports are bounded well below 32
@@ -308,7 +270,7 @@ Router::switchTraversal(sim::Tick now)
             if (ivc.bufEmpty())
                 continue; // re-armed by receiveFlits
             if (out.credits[static_cast<std::size_t>(vc)] <= 0)
-                continue; // re-armed by receiveCredits
+                continue; // re-armed by receiveCredit
 
             // Copy the flit straight into its staged link slot and
             // rewrite link-level fields in place (one 32-byte copy per
@@ -317,15 +279,21 @@ Router::switchTraversal(sim::Tick now)
             flit = ivc.bufFront();
             ivc.bufPop();
             --*buffered_;
-            if (ivc.bufEmpty())
-                vc_occupied_ &= ~(1u << owner);
             input_port_used |= 1u << in_port;
 
-            // Return a credit upstream for the freed buffer slot.
-            const ChannelId up =
-                credit_up_[static_cast<std::size_t>(in_port)];
-            if (up != kNoChannel)
-                credit_store_.push(up, in_vc);
+            // Return a credit upstream for the freed buffer slot: the
+            // local endpoint banks it (tickInjection runs before any
+            // router, so the bank is first read next cycle); a
+            // neighbor router receives it as mail applied at the start
+            // of the next cycle.
+            if (in_port == localPort()) {
+                ++*inject_bank_;
+            } else {
+                const CreditReturn &up =
+                    credit_up_[static_cast<std::size_t>(in_port)];
+                outbox[up.shard]->mail.push_back(
+                    {up.node, up.port, static_cast<std::uint8_t>(in_vc)});
+            }
 
             // Rewrite link-level VC and dateline state.
             const bool to_neighbor = port != localPort();
@@ -348,15 +316,12 @@ Router::switchTraversal(sim::Tick now)
                                   .add("port", port)
                                   .add("vc", vc))
                         .str());
-                if (up != kNoChannel) {
-                    tracer_->instant(
-                        trace_track_, now, "credit",
-                        obs::Category::Net,
-                        std::move(obs::Args()
-                                      .add("port", in_port)
-                                      .add("vc", in_vc))
-                            .str());
-                }
+                tracer_->instant(
+                    trace_track_, now, "credit", obs::Category::Net,
+                    std::move(obs::Args()
+                                  .add("port", in_port)
+                                  .add("vc", in_vc))
+                        .str());
             }
 
             if (flit.tail) {
@@ -390,20 +355,17 @@ Router::switchTraversal(sim::Tick now)
 }
 
 void
-Router::tick(sim::Tick now)
+Router::tick(sim::Tick now, CreditBox *const *outbox)
 {
-    if (*credit_wake_ != 0)
-        receiveCredits();
     if (*flit_wake_ != 0)
         receiveFlits();
     // Both remaining phases only act on buffered flits (an output VC
     // owner with an empty input buffer is waiting on upstream body
-    // flits and makes no progress), so a router woken only to absorb
-    // credits stops here.
+    // flits and makes no progress).
     if (*buffered_ == 0)
         return;
     routeAndAllocate(now);
-    switchTraversal(now);
+    switchTraversal(now, outbox);
 }
 
 std::size_t

@@ -18,13 +18,16 @@
  *  - Per-packet output VC ownership (wormhole): a head flit claims an
  *    output VC; the tail releases it.
  *
- * All ports communicate through latched links, so the order in which
- * routers tick within a cycle is immaterial. Links live in the
- * Network's FlitLinkStore/CreditLinkStore and are named by dense
- * ChannelIds; the router's own input-VC and output-port state lives
- * in Network-owned slabs (one contiguous array per kind across all
- * routers), handed to each router as a RouterSlices view. The router
- * object itself is just wiring, masks and statistics.
+ * Flits travel through latched links, so the order in which routers
+ * tick within a cycle is immaterial. Links live in the Network's
+ * FlitLinkStore and are named by dense ChannelIds. Credits travel as
+ * shard mail (CreditMail): a router posts one record per drained flit
+ * and the Network applies the mail at the start of the next cycle,
+ * before any router ticks, which is the same one-cycle delay a
+ * latched credit link had. The router's own input-VC and output-port
+ * state lives in Network-owned slabs (one contiguous array per kind
+ * across all routers), handed to each router as a RouterSlices view.
+ * The router object itself is just wiring, masks and statistics.
  */
 
 #ifndef LOCSIM_NET_ROUTER_HH_
@@ -34,7 +37,10 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "net/link_fabric.hh"
@@ -58,6 +64,38 @@ struct RouterConfig
 };
 
 /**
+ * One credit on its way upstream: output VC @p vc of output @p port on
+ * router @p node regains a buffer slot. Posted by the router that
+ * drained the flit (or the ejecting endpoint) during cycle T and
+ * applied by the Network at the start of cycle T+1.
+ */
+struct CreditMail
+{
+    sim::NodeId node = 0;
+    std::uint8_t port = 0;
+    std::uint8_t vc = 0;
+};
+
+/**
+ * One credit mailbox. Sharded fabrics keep one per (destination
+ * shard, source shard) pair and tick parity; the alignment keeps
+ * boxes that different shards post into concurrently on separate
+ * cache lines.
+ */
+struct alignas(64) CreditBox
+{
+    std::vector<CreditMail> mail;
+};
+
+/** Where a router returns the credits of one input port. */
+struct CreditReturn
+{
+    sim::NodeId node = sim::kNodeNone; //!< upstream router
+    std::uint8_t port = 0;             //!< its output port
+    std::uint16_t shard = 0;           //!< its shard (mailbox index)
+};
+
+/**
  * One switch of the torus fabric.
  *
  * The Network wires up link channels between routers and owns the
@@ -69,6 +107,8 @@ class Router
   public:
     /** The activity masks hold one bit per input unit (port * vc). */
     static constexpr int kMaxPorts = 16;
+    /** Per-port VC state uses fixed-size arrays. */
+    static constexpr int kMaxVcs = 8;
 
     /**
      * One input VC: a private flit buffer (a slice of the fabric-wide
@@ -117,9 +157,9 @@ class Router
     struct OutputPort
     {
         /** Encoded owner input (port * vcs + vc), or -1 if free. */
-        std::array<std::int8_t, CreditLinkStore::kMaxVcs> owner{};
+        std::array<std::int8_t, kMaxVcs> owner{};
         /** Credits available per output VC. */
-        std::array<std::int16_t, CreditLinkStore::kMaxVcs> credits{};
+        std::array<std::int16_t, kMaxVcs> credits{};
         /** Round-robin pointer over output VCs. */
         std::int8_t next_vc = 0;
     };
@@ -133,6 +173,8 @@ class Router
      * scan stream contiguous arrays — and vectorize (see
      * kernels::routerLatchBusy) — instead of striding across router
      * objects; each pointer names this router's single word.
+     * @p inject_bank is the co-sharded endpoint's injection credit
+     * bank, which credits for the local input port go straight into.
      */
     struct RouterSlices
     {
@@ -141,14 +183,13 @@ class Router
         Flit *vc_slots = nullptr;
         std::uint32_t *flit_wake_staged = nullptr;
         std::uint32_t *flit_wake = nullptr;
-        std::uint32_t *credit_wake_staged = nullptr;
-        std::uint32_t *credit_wake = nullptr;
         std::uint32_t *buffered = nullptr;
+        int *inject_bank = nullptr;
     };
 
     Router(const TorusTopology &topo, sim::NodeId node,
            const RouterConfig &config, FlitLinkStore &flits,
-           CreditLinkStore &credits, const RouterSlices &slices);
+           const RouterSlices &slices);
 
     /** Number of ports including injection/ejection. */
     int portCount() const { return 2 * topo_.dims() + 1; }
@@ -180,46 +221,58 @@ class Router
      * Connect the channels for one port.
      *
      * @param port port index.
-     * @param in flits arriving into this router (kNoChannel for the
-     *        ejection side of the local port pair; the local port uses
+     * @param in flits arriving into this router (the local port uses
      *        @p in for injection and @p out for ejection).
      * @param out flits leaving this router.
-     * @param credit_up credits this router returns to whoever feeds
-     *        @p in.
-     * @param credit_down credits arriving for @p out.
+     * @param up where credits for flits drained from @p in go; unused
+     *        for the local port, whose credits go to the inject bank.
      */
     void connect(int port, ChannelId in, ChannelId out,
-                 ChannelId credit_up, ChannelId credit_down);
+                 const CreditReturn &up);
 
     /**
      * Advance one network cycle. @p now is the engine tick; internal
      * round-robin pointers are derived from it so that skipping ticks
      * while idle leaves arbitration state exactly as if the router
-     * had been polled every cycle.
+     * had been polled every cycle. Credits for neighbor routers are
+     * posted to @p outbox[shard of the upstream router].
      */
-    void tick(sim::Tick now);
+    void tick(sim::Tick now, CreditBox *const *outbox);
 
     /**
-     * Latch the wake bits staged by last cycle's channel pushes into
-     * the masks tick() consumes. The Network calls this on every
-     * router at the start of a network cycle, before anything pushes:
-     * pushes made during the current cycle stage wakes for the next
-     * one, mirroring the channels' one-cycle latching delay.
+     * Apply one returned credit to output VC @p vc of @p port. Credits
+     * for an owned VC may unblock the port, so it is re-armed; credits
+     * for a released VC need no re-arm (a later claim arms it).
+     */
+    void
+    receiveCredit(int port, int vc)
+    {
+        OutputPort &out = outputs_[static_cast<std::size_t>(port)];
+        std::int16_t &count = out.credits[static_cast<std::size_t>(vc)];
+        ++count;
+        LOCSIM_ASSERT(count <= config_.buffer_depth,
+                      "credit overflow on node ", node_, " port ", port);
+        if (out.owner[static_cast<std::size_t>(vc)] != -1)
+            ready_ports_ |= 1u << port;
+    }
+
+    /**
+     * Latch the wake bits staged by last cycle's flit pushes into the
+     * mask tick() consumes. The Network calls this on every router at
+     * the start of a network cycle, before anything pushes: pushes
+     * made during the current cycle stage wakes for the next one,
+     * mirroring the links' one-cycle latching delay.
      */
     void
     latchWakes()
     {
         *flit_wake_ |= std::exchange(*flit_wake_staged_, 0u);
-        *credit_wake_ |= std::exchange(*credit_wake_staged_, 0u);
         if (has_remote_wakes_) {
             const std::uint32_t flits = remote_flit_wake_.exchange(
                 0u, std::memory_order_relaxed);
-            const std::uint32_t credits = remote_credit_wake_.exchange(
-                0u, std::memory_order_relaxed);
             *flit_wake_ |= flits;
-            *credit_wake_ |= credits;
-            remote_wakes_ += static_cast<std::uint64_t>(
-                std::popcount(flits) + std::popcount(credits));
+            remote_wakes_ +=
+                static_cast<std::uint64_t>(std::popcount(flits));
         }
     }
 
@@ -236,22 +289,18 @@ class Router
     {
         const std::uint32_t flits =
             remote_flit_wake_.exchange(0u, std::memory_order_relaxed);
-        const std::uint32_t credits = remote_credit_wake_.exchange(
-            0u, std::memory_order_relaxed);
         *flit_wake_staged_ |= flits;
-        *credit_wake_staged_ |= credits;
-        remote_wakes_ += static_cast<std::uint64_t>(
-            std::popcount(flits) + std::popcount(credits));
+        remote_wakes_ += static_cast<std::uint64_t>(std::popcount(flits));
     }
 
     /** True once any channel bound a cross-shard wake to this router. */
     bool hasRemoteWakes() const { return has_remote_wakes_; }
 
     /**
-     * Cross-shard wake words. In sharded runs, an input channel whose
+     * Cross-shard wake word. In sharded runs, an input channel whose
      * producer router lives on another shard delivers its wake here
      * (atomically, during the rotation phase) instead of into the
-     * plain staged words; latchWakes() then drains both. The extra
+     * plain staged word; latchWakes() then drains both. The extra
      * exchange is gated on has_remote_wakes_ so the sequential path
      * pays nothing. The Network performs the binding.
      */
@@ -262,24 +311,18 @@ class Router
         return remote_flit_wake_;
     }
 
-    std::atomic<std::uint32_t> &
-    remoteCreditWakeWord()
-    {
-        has_remote_wakes_ = true;
-        return remote_credit_wake_;
-    }
-
     /**
      * Activity report: true if any flit is buffered in this router or
-     * a latched wake says a flit/credit became visible on an input
-     * channel. An idle router's tick() is a no-op, so the fabric may
+     * a latched wake says a flit became visible on an input channel.
+     * Credits need no wake: the Network applies them before routers
+     * tick, and a router with nothing buffered has nothing to spend
+     * them on. An idle router's tick() is a no-op, so the fabric may
      * skip it entirely. Only meaningful after latchWakes().
      */
     bool
     busy() const
     {
-        return *buffered_ > 0 || *flit_wake_ != 0 ||
-               *credit_wake_ != 0;
+        return *buffered_ > 0 || *flit_wake_ != 0;
     }
 
     /** Flits forwarded through output @p port (for utilization). */
@@ -289,12 +332,20 @@ class Router
         return output_flits_[static_cast<std::size_t>(port)];
     }
 
+    /** Credits output VC @p vc of @p port holds. */
+    int
+    credits(int port, int vc) const
+    {
+        return outputs_[static_cast<std::size_t>(port)]
+            .credits[static_cast<std::size_t>(vc)];
+    }
+
     /** Failed output-VC claims (head flit blocked this cycle). */
     const stats::Counter &allocStalls() const { return alloc_stalls_; }
 
     /**
-     * Cross-shard wake bits drained by latchWakes() (popcount of the
-     * remote wake words). An execution diagnostic for the counter
+     * Cross-shard flit wake bits drained by latchWakes() (popcount of
+     * the remote wake word). An execution diagnostic for the counter
      * registry — 0 in sequential runs, shard-count-dependent and not
      * part of the simulated result, hence never serialized.
      */
@@ -327,9 +378,15 @@ class Router
      * all wake/occupancy masks (staged wakes can be nonzero at a run
      * boundary), arbitration cache, and per-port statistics. Channel
      * wiring and decode tables are reconstructed at build time.
+     *
+     * The stream keeps the two credit-wake words of the latched credit
+     * links this router once had: @p credit_mail_ports (output ports
+     * with credit mail pending, which is what the staged word held at
+     * every cycle boundary) and 0 (the latched word was always
+     * consumed within its cycle).
      */
     void
-    saveState(util::Serializer &s) const
+    saveState(util::Serializer &s, std::uint32_t credit_mail_ports) const
     {
         const int units = unitCount();
         s.put<std::uint64_t>(static_cast<std::uint64_t>(units));
@@ -358,16 +415,22 @@ class Router
         // The slab word is 32-bit in memory; the stream keeps its
         // original 64-bit field.
         s.put<std::uint64_t>(*buffered_);
-        // Fold pending cross-shard wakes into the staged words: the
-        // two are drained identically by latchWakes(), and folding
-        // keeps checkpoint bytes independent of the shard count.
+        // Fold pending cross-shard wakes into the staged word: the two
+        // are drained identically by latchWakes(), and folding keeps
+        // checkpoint bytes independent of the shard count.
         s.put(*flit_wake_staged_ |
               remote_flit_wake_.load(std::memory_order_relaxed));
         s.put(*flit_wake_);
-        s.put(*credit_wake_staged_ |
-              remote_credit_wake_.load(std::memory_order_relaxed));
-        s.put(*credit_wake_);
-        s.put(vc_occupied_);
+        s.put(credit_mail_ports);
+        s.put(std::uint32_t{0});
+        // Input units with a non-empty buffer (derived, kept in the
+        // stream).
+        std::uint32_t occupied = 0;
+        for (int u = 0; u < units; ++u) {
+            if (!inputs_[static_cast<std::size_t>(u)].bufEmpty())
+                occupied |= 1u << u;
+        }
+        s.put(occupied);
         s.put(owned_ports_);
         s.put(rr_now_);
         s.put(rr_start_);
@@ -376,76 +439,106 @@ class Router
         alloc_stalls_.saveState(s);
     }
 
+    /**
+     * Restore state saved by saveState(). Every field that later
+     * indexes an array, sizes a ring or shifts a mask is range-checked
+     * first, so a corrupt image throws std::runtime_error instead of
+     * corrupting memory. The occupancy words and masks are rebuilt
+     * from the state they summarize, and the credit-wake words are
+     * dropped: pending credits restore from the credit-link section
+     * as mail.
+     */
     void
     loadState(util::Deserializer &d)
     {
         const int units = unitCount();
-        if (d.get<std::uint64_t>() !=
-            static_cast<std::uint64_t>(units)) {
-            throw std::runtime_error(
-                "Router::loadState: input unit count mismatch");
-        }
+        const int ports = portCount();
+        const int depth = config_.buffer_depth;
+        auto require = [](bool ok, const char *what) {
+            if (!ok) {
+                throw std::runtime_error(
+                    std::string("Router::loadState: ") + what);
+            }
+        };
+        require(d.get<std::uint64_t>() ==
+                    static_cast<std::uint64_t>(units),
+                "input unit count mismatch");
+        std::uint32_t held = 0;
+        alloc_pending_ = 0;
         for (int u = 0; u < units; ++u) {
             InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
             ivc.head = d.get<std::uint32_t>();
             ivc.tail = d.get<std::uint32_t>();
+            require(ivc.bufSize() <= static_cast<std::uint32_t>(depth),
+                    "VC buffer holds more flits than its depth");
+            held += ivc.bufSize();
             for (std::uint32_t i = ivc.head; i != ivc.tail; ++i)
                 ivc.slots[i & ivc.mask] = loadFlit(d);
             ivc.routed = d.getBool();
             ivc.route_valid = d.getBool();
-            ivc.out_port = static_cast<std::int8_t>(d.get<int>());
-            ivc.out_vc = static_cast<std::int8_t>(d.get<int>());
+            const int out_port = d.get<int>();
+            const int out_vc = d.get<int>();
+            require(out_port >= -1 && out_port < ports && out_vc >= -1 &&
+                        out_vc < config_.vcs,
+                    "cached route out of range");
+            ivc.out_port = static_cast<std::int8_t>(out_port);
+            ivc.out_vc = static_cast<std::int8_t>(out_vc);
+            if (!ivc.routed && !ivc.bufEmpty())
+                alloc_pending_ |= 1u << u;
         }
-        const int ports = portCount();
-        if (d.get<std::uint64_t>() !=
-            static_cast<std::uint64_t>(ports)) {
-            throw std::runtime_error(
-                "Router::loadState: output port count mismatch");
-        }
+        require(d.get<std::uint64_t>() ==
+                    static_cast<std::uint64_t>(ports),
+                "output port count mismatch");
+        owned_ports_ = 0;
         for (int p = 0; p < ports; ++p) {
             OutputPort &op = outputs_[static_cast<std::size_t>(p)];
             for (int vc = 0; vc < config_.vcs; ++vc) {
                 const auto v = static_cast<std::size_t>(vc);
-                op.owner[v] = static_cast<std::int8_t>(d.get<int>());
-                op.credits[v] =
-                    static_cast<std::int16_t>(d.get<int>());
+                const int owner = d.get<int>();
+                const int credits = d.get<int>();
+                require(owner >= -1 && owner < units,
+                        "output VC owner out of range");
+                require(credits >= 0 && credits <= depth,
+                        "output VC credits outside [0, buffer depth]");
+                op.owner[v] = static_cast<std::int8_t>(owner);
+                op.credits[v] = static_cast<std::int16_t>(credits);
+                if (owner != -1)
+                    owned_ports_ |= 1u << p;
             }
-            op.next_vc = static_cast<std::int8_t>(d.get<int>());
+            const int next_vc = d.get<int>();
+            require(next_vc >= 0 && next_vc < config_.vcs,
+                    "round-robin VC out of range");
+            op.next_vc = static_cast<std::int8_t>(next_vc);
         }
-        *buffered_ =
-            static_cast<std::uint32_t>(d.get<std::uint64_t>());
+        d.get<std::uint64_t>(); // buffered flits
+        *buffered_ = held;
         *flit_wake_staged_ = d.get<std::uint32_t>();
         *flit_wake_ = d.get<std::uint32_t>();
-        *credit_wake_staged_ = d.get<std::uint32_t>();
-        *credit_wake_ = d.get<std::uint32_t>();
+        require(((*flit_wake_staged_ | *flit_wake_) >> ports) == 0,
+                "wake bit names no port");
         remote_flit_wake_.store(0u, std::memory_order_relaxed);
-        remote_credit_wake_.store(0u, std::memory_order_relaxed);
-        vc_occupied_ = d.get<std::uint32_t>();
-        owned_ports_ = d.get<std::uint32_t>();
-        // Rebuild the derived scan masks. ready_ports_ may be a
-        // superset of what a never-checkpointed run would hold;
-        // scanning an extra blocked port forwards nothing and marks
-        // nothing, so the superset is observationally identical and
-        // self-corrects on the first traversal.
+        d.get<std::uint32_t>(); // credit mail ports
+        d.get<std::uint32_t>(); // latched credit wake, always 0
+        d.get<std::uint32_t>(); // occupied input units
+        d.get<std::uint32_t>(); // owned output ports
+        // ready_ports_ may be a superset of what a never-checkpointed
+        // run would hold; scanning an extra blocked port forwards
+        // nothing and marks nothing, so the superset is observationally
+        // identical and self-corrects on the first traversal.
         ready_ports_ = owned_ports_;
-        alloc_pending_ = 0;
-        for (int u = 0; u < units; ++u) {
-            const InputVc &ivc = inputs_[static_cast<std::size_t>(u)];
-            if (!ivc.routed && !ivc.bufEmpty())
-                alloc_pending_ |= 1u << u;
-        }
         rr_now_ = d.get<sim::Tick>();
         rr_start_ = d.get<int>();
+        require(rr_start_ >= 0 && rr_start_ < units,
+                "allocation scan start out of range");
         for (int p = 0; p < ports; ++p)
             output_flits_[static_cast<std::size_t>(p)].loadState(d);
         alloc_stalls_.loadState(d);
     }
 
   private:
-    void receiveCredits();
     void receiveFlits();
     void routeAndAllocate(sim::Tick now);
-    void switchTraversal(sim::Tick now);
+    void switchTraversal(sim::Tick now, CreditBox *const *outbox);
 
     /** Compute route for the head flit of (port, vc). */
     void computeRoute(int port, InputVc &ivc);
@@ -462,7 +555,6 @@ class Router
     RouterConfig config_;
 
     FlitLinkStore &flit_store_;
-    CreditLinkStore &credit_store_;
 
     InputVc *inputs_ = nullptr;     // [port][vc] flattened slab slice
     OutputPort *outputs_ = nullptr; // [port] slab slice
@@ -474,12 +566,13 @@ class Router
      */
     std::array<ChannelId, kMaxPorts> in_links_;
     std::array<ChannelId, kMaxPorts> out_links_;
-    std::array<ChannelId, kMaxPorts> credit_up_;
-    std::array<ChannelId, kMaxPorts> credit_down_;
+    std::array<CreditReturn, kMaxPorts> credit_up_;
 
     /** Flits currently held in input VC buffers (kept incrementally;
      *  slab word, see RouterSlices). */
     std::uint32_t *buffered_ = nullptr;
+    /** The local endpoint's injection credit bank (RouterSlices). */
+    int *inject_bank_ = nullptr;
 
     /**
      * Activity bitmasks, one bit per port (wake words) or per input
@@ -489,23 +582,18 @@ class Router
      * channels actually carry something, and the allocation /
      * traversal phases visit only units with buffered flits / ports
      * with owned VCs. The constructor asserts port * VC counts fit in
-     * 32 bits. All four words live in Network-owned per-node slabs
+     * 32 bits. The wake words live in Network-owned per-node slabs
      * (RouterSlices) so the start-of-cycle latch is a contiguous —
      * and vectorizable — sweep; these pointers name this router's
      * words.
      */
     std::uint32_t *flit_wake_staged_ = nullptr;
     std::uint32_t *flit_wake_ = nullptr;
-    std::uint32_t *credit_wake_staged_ = nullptr;
-    std::uint32_t *credit_wake_ = nullptr;
-    /** Cross-shard wake words; see remoteFlitWakeWord(). */
+    /** Cross-shard wake word; see remoteFlitWakeWord(). */
     std::atomic<std::uint32_t> remote_flit_wake_{0};
-    std::atomic<std::uint32_t> remote_credit_wake_{0};
     bool has_remote_wakes_ = false;
     /** See remoteWakes(); host diagnostic, excluded from saveState. */
     std::uint64_t remote_wakes_ = 0;
-    /** Input units (port * vcs + vc) with a non-empty flit buffer. */
-    std::uint32_t vc_occupied_ = 0;
     /** Output ports with at least one owned (allocated) VC. */
     std::uint32_t owned_ports_ = 0;
 
@@ -516,7 +604,7 @@ class Router
      * phase. Instead, a port is scanned only while its ready bit is
      * set; the bit is cleared when a scan proves the port cannot
      * forward until new input arrives, and re-armed by exactly the
-     * events that could unblock it: a credit arrival (receiveCredits),
+     * events that could unblock it: a credit arrival (receiveCredit),
      * a flit arrival into a routed unit (receiveFlits), or a fresh VC
      * claim (routeAndAllocate). alloc_pending_ likewise narrows the
      * allocation scan to units whose head packet still needs an

@@ -15,6 +15,7 @@
 #include "checkpoint_surgery.hh"
 #include "machine/machine.hh"
 #include "util/serialize.hh"
+#include "util/sha256.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -268,6 +269,65 @@ TEST(Checkpoint, RejectsCorruptCacheSections)
     }
     Machine intact(config, mapping);
     EXPECT_NO_THROW(intact.restoreCheckpoint(image));
+}
+
+TEST(Checkpoint, RejectsCorruptNetworkSections)
+{
+    // Each damaged field would otherwise overrun a ring, index an
+    // array out of bounds, overflow a credit count or shift a mask
+    // past its width; the loader must throw instead of aborting, so
+    // a cache can drop the image and recompute it.
+    const MachineConfig config = smallConfig();
+    const workload::Mapping mapping = identityMapping(config);
+
+    Machine saver(config, mapping);
+    saver.advance(1000);
+    const std::vector<std::uint8_t> image = saver.saveCheckpoint();
+
+    for (const auto damage : testing_ckpt::kAllNetDamage) {
+        const std::vector<std::uint8_t> damaged =
+            testing_ckpt::damageNetworkSection(image, saver, damage);
+        Machine fresh(config, mapping);
+        EXPECT_THROW(fresh.restoreCheckpoint(damaged),
+                     std::runtime_error)
+            << "damage kind " << static_cast<int>(damage);
+    }
+    Machine intact(config, mapping);
+    EXPECT_NO_THROW(intact.restoreCheckpoint(image));
+}
+
+/**
+ * Pinned image: an 8x8 machine saved on the tick right after a tail
+ * ejection, so that ejection's credit (and the credits its path
+ * returned) are still on their way upstream at the save point. The
+ * image bytes — including how pending credits are written — must not
+ * depend on the shard count, and must equal the image recorded when
+ * credits still travelled through latched credit links (LSCK v4).
+ */
+TEST(Checkpoint, PendingCreditImageIsPinnedAtEveryShardCount)
+{
+    std::vector<std::uint8_t> first;
+    for (int shards : {1, 2, 4}) {
+        MachineConfig config;
+        config.net_clock_ratio = 1; // advance(1) is one network tick
+        config.shards = shards;
+        Machine machine(config, workload::Mapping::random(64, 5));
+        machine.advance(1499);
+        const std::uint64_t before =
+            machine.network().stats().messages_delivered;
+        machine.advance(1);
+        ASSERT_GT(machine.network().stats().messages_delivered, before)
+            << "no tail ejected on the tick before the save";
+        const std::vector<std::uint8_t> image = machine.saveCheckpoint();
+        if (first.empty()) {
+            first = image;
+            EXPECT_EQ(util::Sha256::hashHex(image),
+                      "90cde488e8f00858db1c263cd90118585235eaeb"
+                      "faa512009fb2e01b30ef2dc0");
+        } else {
+            EXPECT_EQ(image, first) << shards << " shards";
+        }
+    }
 }
 
 /**

@@ -139,44 +139,6 @@ TEST(LinkRotator, LastPartialWordPublishesOnlyDirtyChannels)
 }
 
 /**
- * Credit store, same word-drain edges: per-VC staged counts publish
- * only for dirty channels of the partial word, and the per-channel
- * vector publish must not disturb a clean neighbor's visible counts.
- */
-TEST(LinkRotator, CreditWordDrainKeepsCleanChannelsIntact)
-{
-    for (const util::simd::Level level : reachableLevels()) {
-        LevelGuard guard(level);
-        CreditLinkStore store(2, 1);
-        constexpr ChannelId kIds = 70;
-        for (ChannelId i = 0; i < kIds; ++i)
-            store.add(0);
-        // Pre-load a visible credit on a clean channel next to the
-        // word boundary to catch cross-channel smearing.
-        store.push(63, 1);
-        store.rotator(0)->rotate();
-        ASSERT_EQ(store.take(63, 1), 1);
-        store.push(63, 1); // visible again after next rotate
-        store.rotator(0)->rotate();
-        for (ChannelId id = 0; id < kIds; ++id) {
-            if (id % 2 == 0) {
-                store.push(id, 0);
-                store.push(id, 0);
-                store.push(id, 1);
-            }
-        }
-        store.rotator(0)->rotate();
-        for (ChannelId id = 0; id < kIds; ++id) {
-            const int expect0 = id % 2 == 0 ? 2 : 0;
-            const int expect1 =
-                (id % 2 == 0 ? 1 : 0) + (id == 63 ? 1 : 0);
-            EXPECT_EQ(store.take(id, 0), expect0) << "id " << id;
-            EXPECT_EQ(store.take(id, 1), expect1) << "id " << id;
-        }
-    }
-}
-
-/**
  * Lane-striding pads: a 5-lane store strides by 8, so each dirty word
  * interleaves live lanes 0..4 with pad slots 5..7. Publishing every
  * lane's copy of one logical channel in a single word drain must

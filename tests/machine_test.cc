@@ -10,13 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "machine/calibration.hh"
 #include "machine/machine.hh"
 #include "model/alewife.hh"
 #include "model/combined_model.hh"
+#include "net/network.hh"
 #include "net/topology.hh"
+#include "runner/runner.hh"
+#include "sim/lockstep.hh"
 #include "util/serialize.hh"
 #include "workload/mapping.hh"
 
@@ -582,6 +587,88 @@ TEST(Sharded, TracedRunsAreDeterministic)
     const auto second = run();
     EXPECT_EQ(first.first, second.first);
     EXPECT_EQ(first.second, second.second);
+}
+
+/**
+ * Credit mail across quiescence skips. Each wave sends messages whose
+ * paths cross shard boundaries (so their credits return through
+ * cross-shard mailboxes) and steps until the last tail ejects at some
+ * tick T. That ejection's credit is still in the mail at T+1, yet the
+ * fabric is quiescent there: the engines must skip the whole idle
+ * window that follows. One-slot VC buffers make a lost credit fatal —
+ * the next wave reuses the same ejection ports and would never
+ * deliver — and jumps of odd and even length land the next tick on
+ * either mailbox parity. Every message's timing and the statistics
+ * must be byte-identical at 1, 2 and 4 shards and under Reference
+ * stepping.
+ */
+TEST(Sharded, FabricGoesQuiescentWithCreditMailPending)
+{
+    const std::pair<sim::NodeId, sim::NodeId> pairs[] = {
+        {0, 40}, {9, 33}, {62, 3}, {27, 52}, {44, 12}};
+    auto run = [&pairs](int shards, bool reference) {
+        net::NetworkConfig config;
+        config.router.buffer_depth = 1;
+        std::vector<std::unique_ptr<sim::Engine>> owned;
+        std::vector<sim::Engine *> engines;
+        for (int s = 0; s < shards; ++s) {
+            owned.push_back(std::make_unique<sim::Engine>());
+            if (reference)
+                owned.back()->setStepMode(sim::Engine::StepMode::Reference);
+            engines.push_back(owned.back().get());
+        }
+        net::Network network(config, engines,
+                             net::ShardPlan::contiguous(64, shards));
+        for (int s = 0; s < shards; ++s)
+            engines[static_cast<std::size_t>(s)]->addClocked(
+                network.shardClocked(s), 1);
+        runner::ThreadPool pool(std::max(1, shards - 1));
+        auto step = [&](sim::Tick ticks) {
+            sim::runLockstep(engines, pool, ticks, reference, nullptr);
+        };
+
+        std::ostringstream out;
+        for (const sim::Tick idle : {100u, 101u, 100u}) {
+            std::vector<net::MessageId> ids;
+            for (const auto &[src, dst] : pairs) {
+                net::Message msg;
+                msg.src = src;
+                msg.dst = dst;
+                msg.flits = 6;
+                ids.push_back(network.send(msg));
+            }
+            for (int i = 0; i < 1000 && network.pendingDeliveries() <
+                                            ids.size();
+                 ++i)
+                step(1);
+            EXPECT_EQ(network.pendingDeliveries(), ids.size())
+                << "undelivered at " << shards << " shards";
+            for (const net::MessageId id : ids) {
+                const net::MessageRecord *rec = network.record(id);
+                if (rec != nullptr)
+                    out << rec->inject_start << "-" << rec->delivered
+                        << " ";
+            }
+            out << "| " << engines[0]->now() << "\n";
+            for (const auto &[src, dst] : pairs)
+                network.receive(dst);
+            EXPECT_TRUE(network.idle());
+            const sim::Tick skipped = engines[0]->skippedTicks();
+            step(idle);
+            EXPECT_EQ(engines[0]->skippedTicks() - skipped,
+                      reference ? 0 : idle)
+                << shards << " shards";
+        }
+        util::Serializer stats;
+        network.stats().saveState(stats);
+        out << network.totalNeighborFlitHops();
+        return std::make_pair(out.str(), stats.takeBuffer());
+    };
+    const auto sequential = run(1, false);
+    for (int shards : {2, 4})
+        EXPECT_EQ(sequential, run(shards, false)) << shards << " shards";
+    EXPECT_EQ(sequential, run(1, true)) << "reference";
+    EXPECT_EQ(sequential, run(4, true)) << "4 shards, reference";
 }
 
 TEST(ShardedDeath, InvalidShardCountsAreFatal)

@@ -97,6 +97,97 @@ TEST(Network, ZeroLoadLatencyScalesLinearlyWithDistance)
         EXPECT_EQ(latency, 12.0 + hops + 1.0) << "hops=" << hops;
 }
 
+/**
+ * Credit loop timing. A flit crossing a link at tick T is forwarded
+ * downstream at T+1, which returns its credit at T+1; that credit must
+ * be usable upstream at T+2 — one cycle after it was returned, never
+ * the same cycle. With one-slot VC buffers every link therefore
+ * carries a flit every second cycle, so the tail trails the head by
+ * 2(B-1) and a B-flit message over h hops takes h + 2B cycles. With
+ * two-slot buffers the loop is covered and the zero-load B + h + 1
+ * holds, so credits are not late either.
+ */
+TEST(Network, CreditReturnedAtTickTIsUsableUpstreamAtTPlusOne)
+{
+    for (const int depth : {1, 2}) {
+        for (const int hops : {1, 3}) {
+            for (const std::uint32_t flits : {1u, 4u, 12u}) {
+                sim::Engine engine;
+                NetworkConfig config;
+                config.router.buffer_depth = depth;
+                Network network(engine, config);
+                engine.addClocked(&network, 1);
+                sim::NodeId dst = 0;
+                for (int i = 0; i < hops; ++i)
+                    dst = network.topology().neighbor(dst, 0, 1);
+                Message msg;
+                msg.src = 0;
+                msg.dst = dst;
+                msg.flits = flits;
+                const MessageId id = network.send(msg);
+                ASSERT_TRUE(engine.runUntil(
+                    [&] { return network.pendingAt(dst) > 0; }, 1000));
+                const MessageRecord *rec = network.record(id);
+                ASSERT_NE(rec, nullptr);
+                const auto h = static_cast<sim::Tick>(hops);
+                const sim::Tick expected =
+                    depth == 1 ? h + 2 * flits : flits + h + 1;
+                EXPECT_EQ(rec->delivered - rec->inject_start, expected)
+                    << "depth " << depth << ", " << hops << " hops, "
+                    << flits << " flits";
+            }
+        }
+    }
+}
+
+/**
+ * The same property where tick order could hide a violation. Routers
+ * tick in ascending node order, so a credit applied within the cycle
+ * it was returned would reach a higher-numbered upstream router one
+ * cycle early, but a lower-numbered one on time. Message B queues
+ * behind A for the same output VC, so its worm is compressed one flit
+ * per router and then drains as fast as the credit loops allow; the
+ * mirror image of the pattern (flowing -x instead of +x) must time
+ * exactly the same.
+ */
+TEST(Network, CreditTimingIsIndependentOfRouterTickOrder)
+{
+    auto run = [](int depth, bool mirrored) {
+        sim::Engine engine;
+        NetworkConfig config;
+        config.router.buffer_depth = depth;
+        Network network(engine, config);
+        engine.addClocked(&network, 1);
+        // Row 0 of the 8x8 torus, no wrap-around link on either path.
+        auto x = [&](sim::NodeId col) {
+            return mirrored ? 7 - col : col;
+        };
+        Message a;
+        a.src = x(5);
+        a.dst = x(7);
+        a.flits = 12;
+        Message b;
+        b.src = x(2);
+        b.dst = x(7);
+        b.flits = 12;
+        const MessageId ida = network.send(a);
+        const MessageId idb = network.send(b);
+        EXPECT_TRUE(engine.runUntil(
+            [&] { return network.pendingAt(x(7)) == 2; }, 1000));
+        const MessageRecord *ra = network.record(ida);
+        const MessageRecord *rb = network.record(idb);
+        EXPECT_TRUE(ra != nullptr && rb != nullptr);
+        if (ra == nullptr || rb == nullptr)
+            return std::make_pair(sim::Tick{0}, sim::Tick{0});
+        return std::make_pair(ra->delivered - ra->inject_start,
+                              rb->delivered - rb->inject_start);
+    };
+    for (const int depth : {1, 2, 4}) {
+        EXPECT_EQ(run(depth, false), run(depth, true))
+            << "depth " << depth;
+    }
+}
+
 TEST(Network, WormholeKeepsMessagesContiguousPerLink)
 {
     // Flit sequence checking in the ejector asserts ordering; here we

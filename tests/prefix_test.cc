@@ -501,6 +501,24 @@ TEST(PrefixPlanner, CorruptImageIsDroppedAndRecomputed)
         EXPECT_EQ(store.lookupCheckpoint(key), repaired)
             << "damage kind " << static_cast<int>(damage);
     }
+    // Likewise a damaged network section.
+    for (const auto damage : testing_ckpt::kAllNetDamage) {
+        {
+            std::ofstream os(dir / (key + ".ckpt"),
+                             std::ios::binary | std::ios::trunc);
+            const auto damaged = testing_ckpt::damageNetworkSection(
+                *repaired, check, damage);
+            os.write(reinterpret_cast<const char *>(damaged.data()),
+                     static_cast<std::streamsize>(damaged.size()));
+        }
+        const auto recomputed = planner.warmMachine(config, mapping, kWarmup);
+        EXPECT_EQ(
+            measurementBytes(recomputed->measure(400)),
+            measurementBytes(oracleRun(config, mapping, kWarmup, 400)))
+            << "network damage kind " << static_cast<int>(damage);
+        EXPECT_EQ(store.lookupCheckpoint(key), repaired)
+            << "network damage kind " << static_cast<int>(damage);
+    }
     fs::remove_all(dir);
 }
 
