@@ -144,18 +144,27 @@ struct HarnessOptions
     }
 };
 
-/** Parse the common flags; exits on --help. */
+/** scaling_check's full-length window: larger machines cost more
+ *  per cycle, so it measures shorter than the common default. */
+inline constexpr std::uint64_t kScalingCheckWindow = 12000;
+
+/**
+ * Parse the common flags; exits on --help. @p full_window is the
+ * harness's --window default without --quick; like every default it
+ * yields to an explicit flag.
+ */
 inline HarnessOptions
 parseHarnessOptions(int argc, const char *const *argv,
                     const std::string &name,
-                    const std::string &summary)
+                    const std::string &summary,
+                    std::uint64_t full_window = 20000)
 {
     util::OptionParser opts(name, summary);
     opts.addString("csv", "write machine-readable results here", "");
     opts.addFlag("quick", "run shorter simulation windows");
     opts.addInt("warmup", "warmup length in processor cycles", 6000);
     opts.addInt("window", "measurement window in processor cycles",
-                20000);
+                static_cast<int>(full_window));
     opts.addInt("threads",
                 "worker threads for independent simulations "
                 "(0 = all cores)",

@@ -218,7 +218,7 @@ BM_BatchedSimCycles(benchmark::State &state, int lanes, int radix)
     net::NetworkConfig config;
     config.radix = radix;
     config.dims = 2;
-    net::FlitLinkStore stores(config.router.buffer_depth + 2,
+    net::FlitLinkStore stores(net::kLinkOccupancyBound,
                               /*shards=*/1, lanes);
     const std::vector<sim::Engine *> engines{&engine};
     stores.registerRotators(engines);

@@ -87,10 +87,9 @@ main(int argc, char **argv)
     bench::HarnessOptions options = bench::parseHarnessOptions(
         static_cast<int>(filtered.size()), filtered.data(),
         "scaling_check",
-        "measured vs predicted locality gain as machines scale");
+        "measured vs predicted locality gain as machines scale",
+        bench::kScalingCheckWindow);
     options.argv.assign(argv, argv + argc);
-    if (!options.quick)
-        options.window = 12000; // larger machines cost more per cycle
 
     std::printf("=== Locality gain, simulation vs model, vs machine "
                 "size ===\n\n");

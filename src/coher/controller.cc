@@ -124,13 +124,10 @@ CacheController::CacheController(sim::Engine &engine,
       directory_(node)
 {
     LOCSIM_ASSERT(ticks_per_cycle >= 1, "bad clock ratio");
-    // Pre-size the work rings past the typical stochastic high-water
-    // mark so steady-state operation never touches the allocator
-    // (rare late capacity doublings would otherwise show up in the
-    // zero-allocation CI gate).
-    inbox_.reserve(16);
-    proc_queue_.reserve(16);
-    outbox_.reserve(16);
+    // The work rings start empty and grow on demand (8 slots, then
+    // doubling): each holds a few entries per node, and a warm ring
+    // keeps its capacity, so steady-state operation still never
+    // touches the allocator once the high-water mark is reached.
 }
 
 void
@@ -349,13 +346,12 @@ CacheController::newMshr(Addr line)
     Mshr &mshr = mshr_pool_.get(h);
     mshr.req = MemRequest{};
     mshr.issued = 0;
+    // The deferred ring is not warmed: a processor request meets its
+    // own line's outstanding miss too rarely to pay for a ring in every
+    // slot (no deferral at all on 8x8 and 32x32 machines running the
+    // synthetic workload at 1, 2 and 4 contexts). It grows on the first
+    // deferral and keeps that capacity when the slot recycles.
     mshr.deferred.clear();
-    // Warm a fresh pool slot's ring at transaction start rather than
-    // on its first deferral: cold-ring allocations then stop with pool
-    // high-water growth instead of trickling in whenever an old slot
-    // first defers (a recycled slot keeps its capacity, so this is a
-    // no-op after the first use).
-    mshr.deferred.reserve(8);
     mshrs_.insert(line, h);
     return mshr;
 }
@@ -371,9 +367,14 @@ CacheController::newHomeTxn(Addr line)
     txn.waiting_fetch = false;
     txn.deferred.clear();
     txn.local_deferred.clear();
-    // See newMshr(): warm cold rings at transaction start.
+    // Warm the network-side ring at transaction start rather than on
+    // its first deferral, so cold-ring allocations stop with pool
+    // high-water growth instead of trickling in whenever an old slot
+    // first defers (a recycled slot keeps its capacity). RingQueue's
+    // minimum of 8 covers the deepest deferral measured on those
+    // machines (3). Local deferrals never occurred there, so that ring
+    // grows on demand like Mshr::deferred.
     txn.deferred.reserve(8);
-    txn.local_deferred.reserve(8);
     txn.local_req = MemRequest{};
     txn.issued = 0;
     home_txns_.insert(line, h);
@@ -891,15 +892,22 @@ CacheController::quiescent() const
 std::size_t
 CacheController::memoryBytes() const
 {
-    // Chunked pool storage dominates; the per-object deferred-queue
-    // capacities inside recycled transactions are a few hundred bytes
-    // and are deliberately left out of the sum.
-    return sizeof(*this) + cache_.memoryBytes() +
-           directory_.memoryBytes() + inbox_.memoryBytes() +
-           proc_queue_.memoryBytes() + outbox_.memoryBytes() +
-           mshr_pool_.memoryBytes() + home_pool_.memoryBytes() +
-           mshrs_.memoryBytes() + home_txns_.memoryBytes() +
-           pending_completions_.capacity() * sizeof(PendingCompletion);
+    std::size_t bytes =
+        sizeof(*this) + cache_.memoryBytes() + directory_.memoryBytes() +
+        inbox_.memoryBytes() + proc_queue_.memoryBytes() +
+        outbox_.memoryBytes() + mshr_pool_.memoryBytes() +
+        home_pool_.memoryBytes() + mshrs_.memoryBytes() +
+        home_txns_.memoryBytes() +
+        pending_completions_.capacity() * sizeof(PendingCompletion);
+    // Every pool slot ever used keeps its deferred rings' capacity,
+    // free or live (newHomeTxn warms one of them to 8 entries).
+    mshr_pool_.forEachSlot(
+        [&](const Mshr &mshr) { bytes += mshr.deferred.memoryBytes(); });
+    home_pool_.forEachSlot([&](const HomeTxn &txn) {
+        bytes += txn.deferred.memoryBytes() +
+                 txn.local_deferred.memoryBytes();
+    });
+    return bytes;
 }
 
 void

@@ -273,13 +273,14 @@ class CacheController : public sim::Clocked
 
     /**
      * Transaction pools hold only a handful of live objects per node
-     * (the workload bounds outstanding misses per context), so small
-     * 16-slot chunks keep a 64x64 machine's warm footprint compact
-     * where the default 512-slot chunks would cost ~128KB per node.
+     * (the workload bounds outstanding misses per context), so 4-slot
+     * chunks keep a large machine's warm footprint compact: the pool
+     * grows by 4 slots at a time only where a node really has that
+     * many transactions outstanding.
      */
-    using MshrPool = util::Pool<Mshr, 4>;
+    using MshrPool = util::Pool<Mshr, 2>;
     using MshrHandle = MshrPool::Handle;
-    using HomePool = util::Pool<HomeTxn, 4>;
+    using HomePool = util::Pool<HomeTxn, 2>;
     using HomeHandle = HomePool::Handle;
 
     /** A completion waiting for its due tick (min-heap by due, seq). */

@@ -98,7 +98,7 @@ MachineBatch::MachineBatch(const std::vector<BatchLaneSpec> &specs)
         engines_.push_back(owned_engines_.back().get());
     }
     stores_ = std::make_unique<net::FlitLinkStore>(
-        head.router.buffer_depth + 2, shards, lanes);
+        net::kLinkOccupancyBound, shards, lanes);
     // Once, for the whole batch: the per-shard rotators are shared by
     // every lane's channels (Network skips registration when handed
     // a shared store).

@@ -166,6 +166,19 @@ struct WakeBinding
     }
 };
 
+/**
+ * Most flits a flit link ever holds at once, visible plus staged.
+ * Every producer pushes at most one flit per link per tick (a router
+ * forwards one flit per output port, an endpoint injects one), and
+ * every consumer drains what was published on the tick after
+ * publication: a router drains all visible flits on its woken input
+ * ports, and ejection pops one flit per tick before any router
+ * pushes. A link therefore holds at most one visible flit plus one
+ * staged flit; the store's overflow assert and the checkpoint
+ * loader's capacity check enforce the bound.
+ */
+inline constexpr int kLinkOccupancyBound = 2;
+
 namespace detail {
 
 /** Lane stride for a K-lane store: pow2 so lane groups never straddle
@@ -195,8 +208,9 @@ class FlitLinkStore
 {
   public:
     /**
-     * @param max_occupancy uniform ring bound per link (credit flow
-     *        control bounds occupancy, so one size fits every link).
+     * @param max_occupancy uniform ring bound per link (fabrics pass
+     *        kLinkOccupancyBound); the ring capacity is the smallest
+     *        power of two at or above it.
      * @param shards rotator count; channels name their owner on add().
      * @param lanes simulation-lane count; ids are allocated strided
      *        by lane (see the file comment). 1 = solo store.
@@ -207,12 +221,10 @@ class FlitLinkStore
           level_(util::simd::activeLevel())
     {
         LOCSIM_ASSERT(lanes >= 1, "lane count must be >= 1");
-        std::size_t cap = 4;
-        while (cap < static_cast<std::size_t>(max_occupancy))
-            cap <<= 1;
-        cap_ = cap;
-        mask_ = static_cast<std::uint32_t>(cap - 1);
-        shift_ = static_cast<unsigned>(std::countr_zero(cap));
+        LOCSIM_ASSERT(max_occupancy >= 1, "link occupancy must be >= 1");
+        cap_ = std::bit_ceil(static_cast<std::size_t>(max_occupancy));
+        mask_ = static_cast<std::uint32_t>(cap_ - 1);
+        shift_ = static_cast<unsigned>(std::countr_zero(cap_));
         rotators_.reserve(static_cast<std::size_t>(shards));
         for (int s = 0; s < shards; ++s) {
             rotators_.push_back(
@@ -311,6 +323,16 @@ class FlitLinkStore
     {
         return mid_[id] - headOf(id);
     }
+
+    /** Flits held, visible plus staged. */
+    std::uint32_t
+    heldCount(ChannelId id) const
+    {
+        return tail_[id] - headOf(id);
+    }
+
+    /** Flits pushed so far: the monotonic tail cursor (wraps). */
+    std::uint32_t pushedCount(ChannelId id) const { return tail_[id]; }
 
     /** Enqueue a flit; visible after the owner's next rotation. */
     void

@@ -59,13 +59,21 @@ struct Message
     sim::NodeId dst = sim::kNodeNone;
     /** Message length in flits (>= 1). */
     std::uint32_t flits = 1;
+    /** Attribution class; does not affect routing or arbitration.
+     *  Placed in the padding after flits (see the size assert). */
+    MessageClass cls = MessageClass::Generic;
     /** Opaque payload words for the client protocol layer. */
     MessagePayload payload{};
     /** Tick at which the client submitted the message. */
     sim::Tick submit_tick = 0;
-    /** Attribution class; does not affect routing or arbitration. */
-    MessageClass cls = MessageClass::Generic;
 };
+
+/**
+ * One cache line: endpoint rings, staged sends and accounting records
+ * all hold Messages by value. The checkpoint stream is field-wise
+ * (saveMessage), so the in-memory order is free to change.
+ */
+static_assert(sizeof(Message) == 64, "Message should fill one cache line");
 
 /**
  * One flit on a physical channel.

@@ -59,14 +59,10 @@ Network::Network(const NetworkConfig &config,
     : config_(config),
       topo_(config.radix, config.dims, config.wraparound),
       plan_(plan), engines_(engines),
-      // Credit flow control bounds link occupancy to the downstream
-      // buffer depth; +2 leaves slack for the cycle of latching delay
-      // on each side of the credit loop.
       owned_flits_(shared != nullptr
                        ? nullptr
                        : std::make_unique<FlitLinkStore>(
-                             config.router.buffer_depth + 2,
-                             plan.shards)),
+                             kLinkOccupancyBound, plan.shards)),
       flit_store_(shared != nullptr ? *shared : *owned_flits_)
 {
     const sim::NodeId n = topo_.nodeCount();
@@ -89,27 +85,24 @@ Network::Network(const NetworkConfig &config,
         flit_store_.registerRotators(engines_);
 
     routers_.reserve(n);
+    // Endpoint rings start empty and grow on demand to RingQueue's
+    // minimum of 8 slots, then by doubling: a closed-loop client keeps
+    // only a few messages queued per node, so pre-sizing them for
+    // congested peaks would cost every node more than it ever holds.
+    // Capacity is amortized state only (checkpoints serialize
+    // contents), so sizing changes no observable behavior.
     endpoints_.resize(n);
-    // Pre-size the endpoint rings and per-shard accounting containers
-    // past the typical stochastic high-water mark so uncongested runs
-    // reach a zero-allocation steady state quickly instead of paying
-    // rare capacity doublings deep into a run. Capacity growth is
-    // amortized state only — checkpoint bytes serialize contents, not
-    // capacity — so this changes no observable behavior.
-    for (NodeEndpoint &ep : endpoints_) {
-        ep.source_queue.reserve(32);
-        ep.delivered.reserve(32);
-    }
     inject_link_.resize(n);
     eject_link_.resize(n);
     shards_.resize(static_cast<std::size_t>(K));
     for (int s = 0; s < K; ++s) {
         ShardState &shard = shards_[static_cast<std::size_t>(s)];
-        shard.records.reserve(static_cast<std::size_t>(n) * 8);
-        const std::size_t words =
-            (static_cast<std::size_t>(plan_.last(s) - plan_.first(s)) +
-             31u) /
-            32u;
+        const auto shard_nodes =
+            static_cast<std::size_t>(plan_.last(s) - plan_.first(s));
+        // A shard's records name messages sourced or delivered at its
+        // own nodes, so the map is sized by the shard, not the fabric.
+        shard.records.reserve(shard_nodes * 8);
+        const std::size_t words = (shard_nodes + 31u) / 32u;
         shard.eject_work.assign(words, 0u);
         shard.inject_work.assign(words, 0u);
         shard.outbox.assign(static_cast<std::size_t>(K), nullptr);

@@ -326,6 +326,16 @@ class Network : public sim::Clocked
     /** Resident bytes of fabric storage (footprint accounting). */
     std::size_t memoryBytes() const;
 
+    /** The store holding this fabric's flit links (a shared store
+     *  also holds other lanes' links). */
+    const FlitLinkStore &linkStore() const { return flit_store_; }
+
+    /** This fabric's flit links, in construction order. */
+    const std::vector<ChannelId> &linkIds() const
+    {
+        return flit_channels_;
+    }
+
     /**
      * Attach a tracer for every shard (nullptr to detach; not owned).
      * Allocates one "net.<node>" track per node on first attach:

@@ -127,6 +127,21 @@ class Pool
     }
 
     /**
+     * Call @p fn(value) for every slot ever allocated, live or free,
+     * in index order: recycled slots keep whatever their objects own,
+     * which footprint accounting must still count.
+     */
+    template <typename Fn>
+    void
+    forEachSlot(Fn &&fn) const
+    {
+        for (std::uint32_t i = 0; i < size_; ++i) {
+            const Slot &s = const_cast<Pool *>(this)->slot(i);
+            fn(s.value);
+        }
+    }
+
+    /**
      * Release every slot and drop storage (load/reset paths only; all
      * outstanding handles become invalid).
      */

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -111,9 +112,7 @@ class RingQueue
     pop_front()
     {
         LOCSIM_ASSERT(!empty(), "pop_front() on empty ring queue");
-        // Reset the vacated slot so popped values do not pin
-        // resources (e.g. a moved-from std::function's allocation).
-        buf_[static_cast<std::size_t>(head_) & mask_] = T{};
+        release(static_cast<std::size_t>(head_) & mask_);
         ++head_;
     }
 
@@ -122,15 +121,17 @@ class RingQueue
     {
         LOCSIM_ASSERT(!empty(), "pop_back() on empty ring queue");
         --tail_;
-        buf_[static_cast<std::size_t>(tail_) & mask_] = T{};
+        release(static_cast<std::size_t>(tail_) & mask_);
     }
 
     /** Drop all contents; capacity is retained. */
     void
     clear()
     {
-        while (!empty())
-            pop_front();
+        if constexpr (!std::is_trivially_destructible_v<T>) {
+            while (!empty())
+                pop_front();
+        }
         head_ = tail_ = 0;
     }
 
@@ -146,6 +147,18 @@ class RingQueue
     }
 
   private:
+    /**
+     * Reset a vacated slot so a popped value does not pin resources
+     * (e.g. a moved-from std::function's allocation). A trivially
+     * destructible value owns nothing, so its slot is left as is.
+     */
+    void
+    release(std::size_t slot)
+    {
+        if constexpr (!std::is_trivially_destructible_v<T>)
+            buf_[slot] = T{};
+    }
+
     void
     grow(std::size_t min_capacity)
     {

@@ -408,6 +408,26 @@ TEST(Machine, LatencyPercentilesAreOrdered)
     EXPECT_GT(m.message_latency_p95, m.message_latency_p50 * 1.2);
 }
 
+/**
+ * Per-node footprint budget. Link rings sized to the proven occupancy
+ * bound, on-demand endpoint and controller rings and 4-slot
+ * transaction pool chunks put a warm node near 12 KB at both sizes;
+ * a regression in any per-node container shows here.
+ */
+TEST(Machine, WarmFootprintStaysWithinBudget)
+{
+    constexpr std::size_t kBudget = 13 * 1024;
+    for (int radix : {8, 32}) {
+        const auto nodes = static_cast<std::uint32_t>(radix * radix);
+        MachineConfig config;
+        config.radix = radix;
+        Machine machine(config, workload::Mapping::random(nodes, 47));
+        machine.advance(2000);
+        EXPECT_LE(machine.memoryBytes() / nodes, kBudget)
+            << radix << "x" << radix;
+    }
+}
+
 TEST(Machine, ThreeDimensionalMachineRunsCoherently)
 {
     // 4x4x4 torus: same node count as the validation platform but a

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "net/network.hh"
 #include "net/traffic.hh"
+#include "runner/runner.hh"
 #include "sim/engine.hh"
+#include "sim/lockstep.hh"
 #include "util/random.hh"
 
 namespace locsim {
@@ -443,6 +448,157 @@ TEST(Network, ActivityTrackingMatchesReferenceExactly)
         EXPECT_EQ(run(sim::Engine::StepMode::Activity, rate),
                   run(sim::Engine::StepMode::Reference, rate))
             << "divergence at injection rate " << rate;
+    }
+}
+
+/**
+ * Tracks the peak occupancy of every flit link of one fabric from
+ * outside, one tick at a time. A link's peak within tick t+1 is at
+ * most what it held at the end of tick t (visible flits) plus what
+ * was pushed during tick t+1 (the tail cursor's advance), so sampling
+ * both between ticks bounds the in-tick peak without instrumenting
+ * the hot path.
+ */
+class LinkOccupancyProbe
+{
+  public:
+    explicit LinkOccupancyProbe(const Network &network)
+        : network_(network), held_(network.linkIds().size(), 0),
+          pushed_(network.linkIds().size(), 0)
+    {
+        sample();
+    }
+
+    /** Call after every tick. */
+    void
+    sample()
+    {
+        const FlitLinkStore &store = network_.linkStore();
+        const std::vector<ChannelId> &ids = network_.linkIds();
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            const std::uint32_t pushed = store.pushedCount(ids[i]);
+            peak_ = std::max(peak_, held_[i] + (pushed - pushed_[i]));
+            held_[i] = store.heldCount(ids[i]);
+            pushed_[i] = pushed;
+        }
+    }
+
+    std::uint32_t peak() const { return peak_; }
+
+  private:
+    const Network &network_;
+    std::vector<std::uint32_t> held_;
+    std::vector<std::uint32_t> pushed_;
+    std::uint32_t peak_ = 0;
+};
+
+/**
+ * Offer saturating uniform traffic (one message per node with
+ * probability @p rate each tick) and drain every delivery.
+ */
+void
+offerAndDrain(Network &network, util::Rng &rng, double rate,
+              std::uint32_t flits)
+{
+    const sim::NodeId n = network.topology().nodeCount();
+    for (sim::NodeId src = 0; src < n; ++src) {
+        if (rng.nextDouble() >= rate)
+            continue;
+        Message msg;
+        msg.src = src;
+        msg.dst = static_cast<sim::NodeId>(
+            (src + 1 + rng.nextBounded(n - 1)) % n);
+        msg.flits = flits;
+        network.send(msg);
+    }
+    drainAll(network);
+}
+
+constexpr int kOccupancyTicks = 1500;
+constexpr double kSaturatingRate = 0.2; // ~2.5x saturation on 8x8
+
+/**
+ * The link rings are sized to kLinkOccupancyBound, not to the buffer
+ * depth: congested fabrics at every buffer depth, shard count and
+ * stepping mode never hold more than two flits on any link, and they
+ * do reach two (so a one-slot ring would not do).
+ */
+TEST(LinkOccupancy, CongestedFabricsNeverExceedTheBound)
+{
+    auto peak = [](int depth, int shards, bool reference) {
+        NetworkConfig config;
+        config.router.buffer_depth = depth;
+        std::vector<std::unique_ptr<sim::Engine>> owned;
+        std::vector<sim::Engine *> engines;
+        for (int s = 0; s < shards; ++s) {
+            owned.push_back(std::make_unique<sim::Engine>());
+            if (reference)
+                owned.back()->setStepMode(sim::Engine::StepMode::Reference);
+            engines.push_back(owned.back().get());
+        }
+        Network network(config, engines,
+                        ShardPlan::contiguous(64, shards));
+        for (int s = 0; s < shards; ++s)
+            engines[static_cast<std::size_t>(s)]->addClocked(
+                network.shardClocked(s), 1);
+        runner::ThreadPool pool(std::max(1, shards - 1));
+        util::Rng rng(static_cast<std::uint64_t>(depth * 10 + shards));
+        LinkOccupancyProbe probe(network);
+        for (int t = 0; t < kOccupancyTicks; ++t) {
+            offerAndDrain(network, rng, kSaturatingRate, 6);
+            sim::runLockstep(engines, pool, 1, reference, nullptr);
+            probe.sample();
+        }
+        EXPECT_GT(network.stats().messages_delivered, 0u);
+        return probe.peak();
+    };
+    const auto bound = static_cast<std::uint32_t>(kLinkOccupancyBound);
+    for (int depth : {1, 2, 8}) {
+        for (int shards : {1, 2, 4}) {
+            EXPECT_EQ(peak(depth, shards, false), bound)
+                << "depth " << depth << ", " << shards << " shards";
+        }
+        EXPECT_EQ(peak(depth, 1, true), bound)
+            << "depth " << depth << ", reference";
+        EXPECT_EQ(peak(depth, 4, true), bound)
+            << "depth " << depth << ", 4 shards, reference";
+    }
+}
+
+/** Batched lanes share one lane-striped store; each lane's links
+ *  obey the same bound. */
+TEST(LinkOccupancy, BatchedLanesNeverExceedTheBound)
+{
+    constexpr int kLanes = 3;
+    for (int depth : {1, 2, 8}) {
+        sim::Engine engine;
+        NetworkConfig config;
+        config.router.buffer_depth = depth;
+        FlitLinkStore store(kLinkOccupancyBound, 1, kLanes);
+        store.registerRotators(std::vector<sim::Engine *>{&engine});
+        std::vector<std::unique_ptr<Network>> lanes;
+        std::vector<LinkOccupancyProbe> probes;
+        for (int l = 0; l < kLanes; ++l) {
+            store.beginLane(l);
+            lanes.push_back(
+                std::make_unique<Network>(engine, config, &store));
+            engine.addClocked(lanes.back().get(), 1);
+        }
+        for (const auto &lane : lanes)
+            probes.emplace_back(*lane);
+        util::Rng rng(static_cast<std::uint64_t>(depth));
+        for (int t = 0; t < kOccupancyTicks; ++t) {
+            for (const auto &lane : lanes)
+                offerAndDrain(*lane, rng, kSaturatingRate, 6);
+            engine.run(1);
+            for (LinkOccupancyProbe &probe : probes)
+                probe.sample();
+        }
+        for (int l = 0; l < kLanes; ++l) {
+            EXPECT_EQ(probes[static_cast<std::size_t>(l)].peak(),
+                      static_cast<std::uint32_t>(kLinkOccupancyBound))
+                << "depth " << depth << ", lane " << l;
+        }
     }
 }
 

@@ -756,12 +756,13 @@ TEST(Harness, PrefixHitsAppearInManifestCounters)
 // ---------------------------------------------------------------------
 
 bench::HarnessOptions
-parseArgs(std::vector<const char *> argv)
+parseArgs(std::vector<const char *> argv,
+          std::uint64_t full_window = 20000)
 {
     argv.insert(argv.begin(), "prefix_test");
     return bench::parseHarnessOptions(static_cast<int>(argv.size()),
                                       argv.data(), "prefix_test",
-                                      "test harness");
+                                      "test harness", full_window);
 }
 
 TEST(Options, ZeroOrNegativeCycleBudgetsAreFatalEarly)
@@ -809,6 +810,17 @@ TEST(Options, ExplicitBudgetsWinOverQuick)
         EXPECT_EQ(options.warmup, 3000u);
         EXPECT_EQ(options.window, 9000u);
     }
+}
+
+TEST(Options, ScalingCheckKeepsAnExplicitWindow)
+{
+    const std::uint64_t full = bench::kScalingCheckWindow;
+    EXPECT_EQ(parseArgs({}, full).window, full);
+    EXPECT_EQ(parseArgs({"--window", "3000"}, full).window, 3000u)
+        << "the harness default overwrote an explicit --window";
+    EXPECT_EQ(parseArgs({"--quick"}, full).window, 6000u);
+    EXPECT_EQ(parseArgs({"--quick", "--window", "3000"}, full).window,
+              3000u);
 }
 
 TEST(Options, NoPrefixCacheDisablesThePlanner)

@@ -12,10 +12,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "util/arena.hh"
@@ -667,6 +670,66 @@ TEST(RingQueue, ClearRetainsCapacity)
     EXPECT_EQ(q.capacity(), cap);
     q.push_back(9);
     EXPECT_EQ(q.front(), 9);
+}
+
+/** Trivially destructible, but counts every assignment into it. */
+struct AssignCounter
+{
+    static inline int assignments = 0;
+    int value = 0;
+
+    AssignCounter() = default;
+    explicit AssignCounter(int v) : value(v) {}
+    AssignCounter(const AssignCounter &) = default;
+    AssignCounter &
+    operator=(const AssignCounter &other)
+    {
+        ++assignments;
+        value = other.value;
+        return *this;
+    }
+};
+static_assert(std::is_trivially_destructible_v<AssignCounter>);
+
+TEST(RingQueue, PopsLeaveTriviallyDestructibleSlotsUnwritten)
+{
+    RingQueue<AssignCounter> q;
+    q.reserve(8);
+    for (int i = 0; i < 6; ++i)
+        q.push_back(AssignCounter(i));
+    const int after_pushes = AssignCounter::assignments;
+    q.pop_front();
+    q.pop_back();
+    EXPECT_EQ(AssignCounter::assignments, after_pushes)
+        << "a pop wrote its vacated slot";
+    EXPECT_EQ(q.front().value, 1);
+    EXPECT_EQ(q.back().value, 4);
+    q.clear();
+    EXPECT_EQ(AssignCounter::assignments, after_pushes)
+        << "clear() wrote the vacated slots";
+    EXPECT_TRUE(q.empty());
+    q.push_back(AssignCounter(9));
+    EXPECT_EQ(q.front().value, 9);
+}
+
+TEST(RingQueue, PopsReleaseWhatNonTrivialValuesOwn)
+{
+    // A std::function's captures must be released on pop (ThreadPool
+    // queues tasks in a RingQueue), not pinned until the slot is
+    // reused.
+    const auto token = std::make_shared<int>(0);
+    RingQueue<std::function<void()>> q;
+    for (int i = 0; i < 3; ++i)
+        q.push_back([token] {});
+    EXPECT_EQ(token.use_count(), 4);
+    q.pop_front();
+    EXPECT_EQ(token.use_count(), 3);
+    q.pop_back();
+    EXPECT_EQ(token.use_count(), 2);
+    q.push_back([token] {});
+    q.clear();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(FlatMap, InsertFindEraseRoundTrips)
