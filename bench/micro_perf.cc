@@ -65,16 +65,14 @@ namespace {
 
 /*
  * --profile / --run-report state (set in main before benchmarks run).
- * The network and batched-lane benchmarks attach a fresh profiler per
- * run when enabled, so the tables and manifest reflect the *last* run
- * of each family (the 16x16 network, the 8-lane batch) — the
- * configurations whose phase splits the docs discuss.
+ * The network benchmarks attach a fresh profiler per run when
+ * enabled, so the table and manifest reflect the *last* run (the
+ * 16x16 network) — the configuration whose phase split the docs
+ * discuss.
  */
 bool g_profile_enabled = false;
 std::unique_ptr<obs::Profiler> g_net_profiler;
-std::unique_ptr<obs::Profiler> g_batch_profiler;
 std::string g_net_profile_title;
-std::string g_batch_profile_title;
 
 /** Attach an allocs_per_op counter covering the timed loop. */
 void
@@ -162,12 +160,12 @@ BM_NetworkSimCycles(benchmark::State &state, int radix)
     net::Network network(engine, config);
     engine.addClocked(&network, 1);
     if (g_profile_enabled) {
-        g_net_profiler = std::make_unique<obs::Profiler>(1, 1);
+        g_net_profiler = std::make_unique<obs::Profiler>(1);
         g_net_profile_title =
             "BM_NetworkSimCycles (radix " + std::to_string(radix) +
             ")";
-        engine.setProfiler(&g_net_profiler->slot(0, 0));
-        network.setProfiler(g_net_profiler.get(), 0);
+        engine.setProfiler(&g_net_profiler->slot(0));
+        network.setProfiler(g_net_profiler.get());
     }
     net::TrafficConfig traffic;
     traffic.injection_rate = 0.02;
@@ -196,82 +194,6 @@ BENCHMARK_CAPTURE(BM_NetworkSimCycles, 8x8, 8)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_NetworkSimCycles, 16x16, 16)
     ->Name("BM_NetworkSimCycles/16x16")
-    ->Unit(benchmark::kMicrosecond);
-
-/**
- * Aggregate throughput of K independent 8x8 network simulations
- * advanced as lanes of one batch: one engine and one lane-striped
- * flit store carry all K networks, so the clocked scan and dirty-word
- * rotation run once over the whole batch. Lanes differ
- * only by traffic seed. K = 1 is the solo baseline; items processed
- * count aggregate lane-cycles, so the K = 8 entry's items/second
- * divided by K = 1's is the batching speedup compare_bench.py gates
- * (as aggregate_speedup on the BENCH_seed.json baseline). The 16x16
- * entry (4 lanes of radix 16) sizes the batch past L2 so the
- * lane-vector kernels are measured under realistic cache pressure;
- * its aggregate baseline is BM_NetworkSimCycles/16x16.
- */
-void
-BM_BatchedSimCycles(benchmark::State &state, int lanes, int radix)
-{
-    sim::Engine engine;
-    net::NetworkConfig config;
-    config.radix = radix;
-    config.dims = 2;
-    net::FlitLinkStore stores(net::kLinkOccupancyBound,
-                              /*shards=*/1, lanes);
-    const std::vector<sim::Engine *> engines{&engine};
-    stores.registerRotators(engines);
-    if (g_profile_enabled) {
-        g_batch_profiler = std::make_unique<obs::Profiler>(1, lanes);
-        g_batch_profile_title =
-            "BM_BatchedSimCycles (" + std::to_string(lanes) +
-            " lanes)";
-        engine.setProfiler(&g_batch_profiler->slot(0, 0));
-    }
-    std::vector<std::unique_ptr<net::Network>> networks;
-    std::vector<std::unique_ptr<net::TrafficGenerator>> generators;
-    for (int l = 0; l < lanes; ++l) {
-        stores.beginLane(l);
-        networks.push_back(
-            std::make_unique<net::Network>(engine, config, &stores));
-        if (g_profile_enabled)
-            networks.back()->setProfiler(g_batch_profiler.get(), l);
-        engine.addClocked(networks.back().get(), 1);
-        net::TrafficConfig traffic;
-        traffic.injection_rate = 0.02;
-        traffic.seed = static_cast<std::uint64_t>(l) + 1;
-        generators.push_back(std::make_unique<net::TrafficGenerator>(
-            *networks.back(), traffic));
-        engine.addClocked(generators.back().get(), 1);
-    }
-    // Warm to allocation steady state (see BM_NetworkSimCycles).
-    for (int i = 0; i < 50; ++i) {
-        const std::uint64_t before = heapAllocCount();
-        engine.run(2000);
-        if (heapAllocCount() == before)
-            break;
-    }
-    const std::uint64_t allocs = heapAllocCount();
-    for (auto _ : state)
-        engine.run(100);
-    reportAllocs(state, allocs);
-    state.SetItemsProcessed(state.iterations() * 100 * lanes);
-}
-BENCHMARK_CAPTURE(BM_BatchedSimCycles, 1, 1, 8)
-    ->Name("BM_BatchedSimCycles/1")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_BatchedSimCycles, 2, 2, 8)
-    ->Name("BM_BatchedSimCycles/2")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_BatchedSimCycles, 4, 4, 8)
-    ->Name("BM_BatchedSimCycles/4")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_BatchedSimCycles, 8, 8, 8)
-    ->Name("BM_BatchedSimCycles/8")
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_BatchedSimCycles, 16x16, 4, 16)
-    ->Name("BM_BatchedSimCycles/16x16")
     ->Unit(benchmark::kMicrosecond);
 
 void
@@ -736,13 +658,9 @@ main(int argc, char **argv)
     if (!json_path.empty() && !writeJson(json_path, reporter.entries))
         return 1;
 
-    if (g_profile_enabled) {
-        if (g_net_profiler != nullptr)
-            obs::writeProfileTable(std::cout, *g_net_profiler,
-                                   g_net_profile_title);
-        if (g_batch_profiler != nullptr)
-            obs::writeProfileTable(std::cout, *g_batch_profiler,
-                                   g_batch_profile_title);
+    if (g_profile_enabled && g_net_profiler != nullptr) {
+        obs::writeProfileTable(std::cout, *g_net_profiler,
+                               g_net_profile_title);
     }
 
     if (!report_path.empty()) {
@@ -759,11 +677,7 @@ main(int argc, char **argv)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start_time)
                 .count();
-        // Prefer the batched grid (per-lane breakdown) when both ran.
-        const obs::Profiler *profiler = g_batch_profiler != nullptr
-                                            ? g_batch_profiler.get()
-                                            : g_net_profiler.get();
-        report.setProfile(profiler, wall);
+        report.setProfile(g_net_profiler.get(), wall);
         report.writeFile(report_path);
         std::fprintf(stderr, "micro_perf: wrote run manifest to %s\n",
                      report_path.c_str());

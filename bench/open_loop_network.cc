@@ -53,8 +53,8 @@ runOne(double rate, sim::Tick cycles, obs::Profiler *profiler)
     net::Network network(engine, config);
     engine.addClocked(&network, 1);
     if (profiler != nullptr) {
-        engine.setProfiler(&profiler->slot(0, 0));
-        network.setProfiler(profiler, 0);
+        engine.setProfiler(&profiler->slot(0));
+        network.setProfiler(profiler);
     }
 
     net::TrafficConfig traffic;
@@ -115,7 +115,7 @@ main(int argc, char **argv)
     // profiler grid captures the whole run.
     std::unique_ptr<obs::Profiler> profiler;
     if (!obs_opts.run_report.empty())
-        profiler = std::make_unique<obs::Profiler>(1, 1);
+        profiler = std::make_unique<obs::Profiler>(1);
 
     std::printf("=== Open-loop network: Agarwal model vs flit-level "
                 "simulation ===\n");

@@ -94,7 +94,7 @@ main(int argc, char **argv)
     if (!obs.run_report.empty()) {
         const int shards = machine::Machine::resolveShardCount(
             config, topo.nodeCount());
-        profiler = std::make_unique<obs::Profiler>(shards, 1);
+        profiler = std::make_unique<obs::Profiler>(shards);
         config.profiler = profiler.get();
     }
     // Heap-held so the machine can be destroyed (publishing its

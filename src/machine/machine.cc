@@ -58,13 +58,6 @@ Machine::resolveShardCount(const MachineConfig &config,
 
 Machine::Machine(const MachineConfig &config,
                  const workload::Mapping &mapping)
-    : Machine(config, mapping, nullptr)
-{
-}
-
-Machine::Machine(const MachineConfig &config,
-                 const workload::Mapping &mapping,
-                 const BatchContext *batch)
     : config_(config), mapping_(mapping)
 {
     LOCSIM_ASSERT(config.contexts >= 1 &&
@@ -77,24 +70,10 @@ Machine::Machine(const MachineConfig &config,
     for (int d = 0; d < config.dims; ++d)
         nodes *= static_cast<sim::NodeId>(config.radix);
 
-    if (batch != nullptr) {
-        batched_ = true;
-        lane_ = batch->lane;
-        engines_ = batch->engines;
-        shards_ = static_cast<int>(engines_.size());
-        LOCSIM_ASSERT(batch->stores != nullptr,
-                      "batch context needs link stores");
-        LOCSIM_ASSERT(resolveShards(config, nodes) == shards_,
-                      "batch engine count does not match the lane's "
-                      "resolved shard count");
-        LOCSIM_ASSERT(!config.trace.enabled,
-                      "batched machines cannot trace");
-    } else {
-        shards_ = resolveShards(config, nodes);
-        for (int s = 0; s < shards_; ++s) {
-            owned_engines_.push_back(std::make_unique<sim::Engine>());
-            engines_.push_back(owned_engines_.back().get());
-        }
+    shards_ = resolveShards(config, nodes);
+    for (int s = 0; s < shards_; ++s) {
+        owned_engines_.push_back(std::make_unique<sim::Engine>());
+        engines_.push_back(owned_engines_.back().get());
     }
     if (config.reference_stepping) {
         for (sim::Engine *engine : engines_)
@@ -108,9 +87,8 @@ Machine::Machine(const MachineConfig &config,
     net_config.router = config.router;
     const net::ShardPlan plan =
         net::ShardPlan::contiguous(nodes, shards_);
-    network_ = std::make_unique<net::Network>(
-        net_config, engines_, plan,
-        batch != nullptr ? batch->stores : nullptr);
+    network_ =
+        std::make_unique<net::Network>(net_config, engines_, plan);
 
     const net::TorusTopology &topo = network_->topology();
     LOCSIM_ASSERT(mapping_.size() == topo.nodeCount(),
@@ -214,29 +192,19 @@ Machine::Machine(const MachineConfig &config,
         }
     }
 
-    if (shards_ > 1 && !batched_)
+    if (shards_ > 1)
         shard_pool_ =
             std::make_unique<runner::ThreadPool>(shards_ - 1);
 
     if (config.profiler != nullptr) {
-        // Shared phases (dispatch, rotation, quiescence) belong to
-        // the shard, not the lane: a solo machine owns its engines and
-        // wires them here; batched lanes share engines, which the
-        // MachineBatch wires once itself. Per-component phases
-        // (router scan, coherence) carry this machine's lane so
-        // batched lanes stay separable.
-        if (!batched_) {
-            for (int s = 0; s < shards_; ++s) {
-                engines_[static_cast<std::size_t>(s)]->setProfiler(
-                    &config.profiler->slot(s, 0));
-            }
-        }
-        network_->setProfiler(config.profiler, lane_);
+        // Every phase lands on the slot of the shard that runs it.
+        network_->setProfiler(config.profiler);
         for (int s = 0; s < shards_; ++s) {
+            obs::PhaseSlot *slot = &config.profiler->slot(s);
+            engines_[static_cast<std::size_t>(s)]->setProfiler(slot);
             for (sim::NodeId node = plan.first(s); node < plan.last(s);
                  ++node) {
-                controllers_[node]->setProfiler(
-                    &config.profiler->slot(s, lane_));
+                controllers_[node]->setProfiler(slot);
             }
         }
     }
@@ -324,17 +292,13 @@ Machine::Machine(const MachineConfig &config,
 Machine::~Machine()
 {
     // Publish execution diagnostics into the process counter registry
-    // on teardown (off every hot path). Batched lanes share engines,
-    // so their skipped-tick totals are published once by the
-    // MachineBatch instead.
+    // on teardown (off every hot path).
     obs::CounterRegistry &counters = obs::CounterRegistry::process();
-    if (!batched_) {
-        sim::Tick skipped = 0;
-        for (const sim::Engine *engine : engines_)
-            skipped += engine->skippedTicks();
-        counters.add("sim.skipped_ticks",
-                     static_cast<std::uint64_t>(skipped));
-    }
+    sim::Tick skipped = 0;
+    for (const sim::Engine *engine : engines_)
+        skipped += engine->skippedTicks();
+    counters.add("sim.skipped_ticks",
+                 static_cast<std::uint64_t>(skipped));
     counters.add("net.alloc_stalls", network_->totalAllocStalls());
     counters.add("net.remote_wakes", network_->totalRemoteWakes());
     if (!controllers_.empty()) {
@@ -424,11 +388,6 @@ Machine::run(std::uint64_t warmup, std::uint64_t window)
 void
 Machine::runTicks(sim::Tick ticks)
 {
-    if (batched_) {
-        LOCSIM_FATAL(
-            "batched machine driven directly; lanes share engines, "
-            "so run/advance/measure must go through the MachineBatch");
-    }
     if (shards_ == 1) {
         engines_.front()->run(ticks);
         return;
@@ -439,21 +398,21 @@ Machine::runTicks(sim::Tick ticks)
 }
 
 bool
-Machine::serialSampleDue(sim::Tick now) const
+Machine::serialDue(sim::Tick now) const
 {
     return sampler_ != nullptr && now == next_sample_due_;
 }
 
 void
-Machine::serialSampleTick(sim::Tick now)
+Machine::serialTick(sim::Tick now)
 {
-    LOCSIM_ASSERT(serialSampleDue(now), "sampler tick when not due");
+    LOCSIM_ASSERT(serialDue(now), "sampler tick when not due");
     sampler_->tick(next_sample_due_);
     next_sample_due_ += sampler_->period();
 }
 
 void
-Machine::serialSampleSkip(sim::Tick target)
+Machine::serialSkip(sim::Tick target)
 {
     if (sampler_ == nullptr || next_sample_due_ >= target)
         return;
@@ -496,27 +455,10 @@ Machine::advance(std::uint64_t cycles)
 Measurement
 Machine::measure(std::uint64_t window)
 {
-    beginMeasurement();
-    runTicks(window * config_.net_clock_ratio);
-    return collectMeasurement();
-}
-
-void
-Machine::beginMeasurement()
-{
     resetStats();
-    measure_start_ = engines_.front()->now();
-}
-
-Measurement
-Machine::collectMeasurement() const
-{
     const std::uint64_t ratio = config_.net_clock_ratio;
-    const sim::Tick elapsed_ticks =
-        engines_.front()->now() - measure_start_;
-    // runTicks advances exactly window * ratio ticks, so the window
-    // in processor cycles is recoverable from the timeline.
-    const std::uint64_t window = elapsed_ticks / ratio;
+    const sim::Tick elapsed_ticks = window * ratio;
+    runTicks(elapsed_ticks);
     const double elapsed = static_cast<double>(elapsed_ticks);
 
     Measurement m;
@@ -614,9 +556,9 @@ namespace {
  *  any change to the serialized layout of any component. Version 2:
  *  shard-independent images (per-node message sequence numbers in the
  *  network endpoint block, no transport block). Version 3: drop the
- *  skipped-ticks field — it is an execution-strategy diagnostic (a
- *  batched lane skips less than the same run solo), and serializing
- *  it made otherwise-identical images differ. Version 4: each cache
+ *  skipped-ticks field — it is an execution-strategy diagnostic,
+ *  not simulated state, and serializing it made otherwise-identical
+ *  images differ. Version 4: each cache
  *  writes only its touched sets (a count, then set-indexed records
  *  in ascending set order) instead of every set densely. */
 constexpr std::uint32_t kCheckpointMagic = 0x4b43534c; // "LSCK"
@@ -634,9 +576,8 @@ std::vector<std::uint8_t>
 Machine::saveCheckpoint() const
 {
     obs::ScopedPhase profile(
-        config_.profiler != nullptr
-            ? &config_.profiler->slot(0, lane_)
-            : nullptr,
+        config_.profiler != nullptr ? &config_.profiler->slot(0)
+                                    : nullptr,
         obs::Phase::CheckpointSave);
 
     LOCSIM_ASSERT(tracer_ == nullptr && sampler_ == nullptr,
@@ -656,19 +597,32 @@ Machine::saveCheckpoint() const
     return s.takeBuffer();
 }
 
-sim::Tick
-Machine::parseCheckpointHeader(util::Deserializer &d)
+void
+Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
 {
+    obs::ScopedPhase profile(
+        config_.profiler != nullptr ? &config_.profiler->slot(0)
+                                    : nullptr,
+        obs::Phase::CheckpointRestore);
+
+    LOCSIM_ASSERT(tracer_ == nullptr && sampler_ == nullptr,
+                  "cannot restore with tracing or sampling on");
+    LOCSIM_ASSERT(engines_.front()->now() == 0,
+                  "restoreCheckpoint requires a fresh machine");
+
+    util::Deserializer d(bytes);
     if (d.get<std::uint32_t>() != kCheckpointMagic)
         throw std::runtime_error("checkpoint: bad magic");
     if (d.get<std::uint32_t>() != kCheckpointVersion)
         throw std::runtime_error("checkpoint: version mismatch");
-    return d.get<sim::Tick>();
-}
-
-void
-Machine::restoreComponents(util::Deserializer &d)
-{
+    const sim::Tick now = d.get<sim::Tick>();
+    // Time first: controllers re-arm their completion wakeups during
+    // loadState, and restoreTime requires an empty event queue. Every
+    // shard engine shares the one timeline. The skipped-ticks
+    // diagnostic restarts at zero: it describes this run, not the
+    // saved one.
+    for (sim::Engine *engine : engines_)
+        engine->restoreTime(now, 0);
     network_->loadState(d);
     for (auto &controller : controllers_)
         controller->loadState(d);
@@ -678,34 +632,6 @@ Machine::restoreComponents(util::Deserializer &d)
         program->loadState(d);
     if (!d.atEnd())
         throw std::runtime_error("checkpoint: trailing bytes");
-}
-
-void
-Machine::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
-{
-    obs::ScopedPhase profile(
-        config_.profiler != nullptr
-            ? &config_.profiler->slot(0, lane_)
-            : nullptr,
-        obs::Phase::CheckpointRestore);
-
-    LOCSIM_ASSERT(tracer_ == nullptr && sampler_ == nullptr,
-                  "cannot restore with tracing or sampling on");
-    LOCSIM_ASSERT(engines_.front()->now() == 0,
-                  "restoreCheckpoint requires a fresh machine");
-    LOCSIM_ASSERT(!batched_,
-                  "restore batched lanes through the MachineBatch");
-
-    util::Deserializer d(bytes);
-    const sim::Tick now = parseCheckpointHeader(d);
-    // Time first: controllers re-arm their completion wakeups during
-    // loadState, and restoreTime requires an empty event queue. Every
-    // shard engine shares the one timeline. The skipped-ticks
-    // diagnostic restarts at zero: it describes this run, not the
-    // saved one.
-    for (sim::Engine *engine : engines_)
-        engine->restoreTime(now, 0);
-    restoreComponents(d);
 }
 
 void

@@ -69,9 +69,7 @@ flitPublishSse2(std::uint32_t *mid, const std::uint32_t *tail,
     // SSE2 has no element-exact masked store, so full 128-bit stores
     // are only safe when all four channels of the group are dirty
     // (dirty implies owned by the publishing rotator); mixed groups
-    // publish scalar. Batched lanes make the all-dirty case the
-    // common one: a congested logical link dirties all K lanes of
-    // its pow2-padded group together.
+    // publish scalar.
     for (int g = 0; bits != 0; ++g, bits >>= 4) {
         const auto m = static_cast<unsigned>(bits & 0xfu);
         if (m == 0)

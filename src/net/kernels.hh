@@ -3,7 +3,7 @@
  * Lane-vector kernels for the link-fabric and router hot paths.
  *
  * Two data-parallel passes dominate the fabric's per-cycle fixed
- * cost once the flit store is lane-striped SoA (link_fabric.hh):
+ * cost over the SoA flit store (link_fabric.hh):
  *
  *  - flit publish: mid = tail for every channel of one 64-bit dirty
  *    word (rotation phase),

@@ -38,19 +38,11 @@
  * vector kernels never write a channel whose dirty bit is clear (see
  * the kernels.hh concurrency contract).
  *
- * Batched execution (PR 6) interleaves K independent simulations
- * ("lanes") of the same topology shape in one store. Ids are
- * allocated lane-strided with the stride padded to the next power of
- * two (id = logical * bit_ceil(K) + lane), so the same logical
- * channel of every lane occupies adjacent bits of ONE dirty word
- * (a pow2 stride <= 64 always divides the word) and one word-drain
- * publishes all K lanes of a congested link in a single vector pass.
- * Pad ids (lane slots >= K) are never allocated, marked dirty, bound
- * or serialized: checkpoint bytes and cache keys see only the logical
- * channels, so the stride is invisible to every observable (see
- * DESIGN.md, "Lane striding and vector padding"). A store built with
- * lanes == 1 allocates exactly the dense sequential ids it always
- * did.
+ * Ids are dense and sequential in add() order. The store is sized
+ * once for the fabric's channel count, with the cursor and metadata
+ * arrays padded to whole 64-id dirty words so the vector kernels can
+ * load full words; pad ids are never added, marked dirty, bound or
+ * serialized.
  */
 
 #ifndef LOCSIM_NET_LINK_FABRIC_HH_
@@ -85,15 +77,10 @@ class FlitLinkStore;
 class LinkRotator final : public sim::Rotatable
 {
   public:
-    explicit LinkRotator(FlitLinkStore &store) : store_(store) {}
-
-    /** Grow the dirty bitset to cover channel @p id (build time). */
-    void
-    ensure(ChannelId id)
+    /** @param words dirty words covering every channel id. */
+    LinkRotator(FlitLinkStore &store, std::size_t words)
+        : store_(store), dirty_words_(words, 0)
     {
-        const std::size_t words = (static_cast<std::size_t>(id) >> 6) + 1;
-        if (dirty_words_.size() < words)
-            dirty_words_.resize(words, 0);
     }
 
     /** Record a push on channel @p id; enrols this rotator in the
@@ -181,14 +168,6 @@ inline constexpr int kLinkOccupancyBound = 2;
 
 namespace detail {
 
-/** Lane stride for a K-lane store: pow2 so lane groups never straddle
- *  a 64-bit dirty word (any pow2 <= 64 divides the word size). */
-inline std::size_t
-laneStride(int lanes)
-{
-    return std::bit_ceil(static_cast<std::size_t>(lanes));
-}
-
 /** Ids rounded up to whole dirty words, so the vector kernels can
  *  load full words without running off the cursor arrays. */
 inline std::size_t
@@ -212,68 +191,46 @@ class FlitLinkStore
      *        kLinkOccupancyBound); the ring capacity is the smallest
      *        power of two at or above it.
      * @param shards rotator count; channels name their owner on add().
-     * @param lanes simulation-lane count; ids are allocated strided
-     *        by lane (see the file comment). 1 = solo store.
+     * @param channels how many links add() will create; every array
+     *        is sized for exactly that many up front.
      */
-    FlitLinkStore(int max_occupancy, int shards, int lanes = 1)
-        : lanes_(lanes), stride_(detail::laneStride(lanes)),
-          per_lane_next_(static_cast<std::size_t>(lanes), 0),
-          level_(util::simd::activeLevel())
+    FlitLinkStore(int max_occupancy, int shards, std::size_t channels)
+        : channels_(channels), level_(util::simd::activeLevel())
     {
-        LOCSIM_ASSERT(lanes >= 1, "lane count must be >= 1");
         LOCSIM_ASSERT(max_occupancy >= 1, "link occupancy must be >= 1");
         cap_ = std::bit_ceil(static_cast<std::size_t>(max_occupancy));
         mask_ = static_cast<std::uint32_t>(cap_ - 1);
         shift_ = static_cast<unsigned>(std::countr_zero(cap_));
+        const std::size_t padded =
+            channels == 0 ? 0
+                          : detail::paddedIds(
+                                static_cast<ChannelId>(channels - 1));
+        head_.assign(padded, 0);
+        mid_.assign(padded, 0);
+        tail_.assign(padded, 0);
+        meta_.resize(padded);
+        remote_bits_.assign(padded >> 6, 0);
+        buf_.resize(channels * cap_);
         rotators_.reserve(static_cast<std::size_t>(shards));
         for (int s = 0; s < shards; ++s) {
             rotators_.push_back(
-                std::make_unique<LinkRotator>(*this));
+                std::make_unique<LinkRotator>(*this, padded >> 6));
         }
-    }
-
-    /** Direct subsequent add() calls to lane @p lane. */
-    void
-    beginLane(int lane)
-    {
-        LOCSIM_ASSERT(lane >= 0 && lane < lanes_, "lane out of range");
-        lane_ = lane;
-    }
-
-    /** Channels allocated so far by lane @p lane. */
-    std::uint32_t
-    laneChannels(int lane) const
-    {
-        return per_lane_next_[static_cast<std::size_t>(lane)];
     }
 
     /** Create one link owned by shard @p owner; returns its id. */
     ChannelId
     add(int owner)
     {
-        const std::size_t logical =
-            per_lane_next_[static_cast<std::size_t>(lane_)]++;
-        const auto id = static_cast<ChannelId>(
-            logical * stride_ + static_cast<std::size_t>(lane_));
-        if (ids_ <= id) {
-            ids_ = static_cast<std::size_t>(id) + 1;
-            const std::size_t padded = detail::paddedIds(id);
-            if (head_.size() < padded) {
-                head_.resize(padded, 0);
-                mid_.resize(padded, 0);
-                tail_.resize(padded, 0);
-                meta_.resize(padded);
-                remote_bits_.resize(padded >> 6, 0);
-            }
-            buf_.resize(ids_ * cap_);
-        }
-        head_[id] = mid_[id] = tail_[id] = 0;
-        meta_[id] = Meta{};
+        LOCSIM_ASSERT(ids_ < channels_,
+                      "more links added than the store was sized for");
+        const auto id = static_cast<ChannelId>(ids_++);
         meta_[id].owner = static_cast<std::uint16_t>(owner);
-        remote_bits_[id >> 6] &= ~(1ull << (id & 63u));
-        rotators_[static_cast<std::size_t>(owner)]->ensure(id);
         return id;
     }
+
+    /** Links created so far (ids [0, channelCount()) are live). */
+    std::size_t channelCount() const { return ids_; }
 
     /** The Rotatable to register with shard @p s's engine. */
     sim::Rotatable *rotator(int s)
@@ -281,12 +238,7 @@ class FlitLinkStore
         return rotators_[static_cast<std::size_t>(s)].get();
     }
 
-    /**
-     * Register each per-shard rotator with the matching engine. A
-     * batch owner calls this once per batch, not once per lane: the
-     * rotator is shared by every lane's channels, and a double
-     * registration would rotate it twice per tick in Reference mode.
-     */
+    /** Register each per-shard rotator with the matching engine. */
     template <typename EngineT>
     void
     registerRotators(const std::vector<EngineT *> &engines)
@@ -474,8 +426,7 @@ class FlitLinkStore
                    sizeof(std::uint32_t) +
                meta_.capacity() * sizeof(Meta) +
                remote_bits_.capacity() * sizeof(std::uint64_t) +
-               buf_.capacity() * sizeof(Flit) +
-               per_lane_next_.capacity() * sizeof(std::uint32_t);
+               buf_.capacity() * sizeof(Flit);
     }
 
   private:
@@ -513,11 +464,8 @@ class FlitLinkStore
     std::size_t cap_ = 0;
     std::uint32_t mask_ = 0;
     unsigned shift_ = 0;
-    int lanes_ = 1;
-    int lane_ = 0;
-    std::size_t stride_ = 1;
-    std::size_t ids_ = 0; //!< allocated ids (pad slots excluded above)
-    std::vector<std::uint32_t> per_lane_next_;
+    std::size_t channels_ = 0; //!< links the store was sized for
+    std::size_t ids_ = 0;      //!< links added so far
     util::simd::Level level_;
 
     /**

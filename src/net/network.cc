@@ -44,26 +44,40 @@ nodeCountFor(const NetworkConfig &config)
     return nodes;
 }
 
+/** Flit links of a fabric: one per neighbor direction that has a
+ *  neighbor, plus each node's injection and ejection links. */
+std::size_t
+flitLinkCount(const TorusTopology &topo, int dims)
+{
+    std::size_t links = 0;
+    for (sim::NodeId node = 0; node < topo.nodeCount(); ++node) {
+        for (int dim = 0; dim < dims; ++dim) {
+            for (int dir : {+1, -1}) {
+                if (topo.neighbor(node, dim, dir) != sim::kNodeNone)
+                    ++links;
+            }
+        }
+        links += 2;
+    }
+    return links;
+}
+
 } // namespace
 
-Network::Network(sim::Engine &engine, const NetworkConfig &config,
-                 FlitLinkStore *shared)
+Network::Network(sim::Engine &engine, const NetworkConfig &config)
     : Network(config, std::vector<sim::Engine *>{&engine},
-              ShardPlan::contiguous(nodeCountFor(config), 1), shared)
+              ShardPlan::contiguous(nodeCountFor(config), 1))
 {
 }
 
 Network::Network(const NetworkConfig &config,
                  const std::vector<sim::Engine *> &engines,
-                 const ShardPlan &plan, FlitLinkStore *shared)
+                 const ShardPlan &plan)
     : config_(config),
       topo_(config.radix, config.dims, config.wraparound),
       plan_(plan), engines_(engines),
-      owned_flits_(shared != nullptr
-                       ? nullptr
-                       : std::make_unique<FlitLinkStore>(
-                             kLinkOccupancyBound, plan.shards)),
-      flit_store_(shared != nullptr ? *shared : *owned_flits_)
+      flit_store_(kLinkOccupancyBound, plan.shards,
+                  flitLinkCount(topo_, config.dims))
 {
     const sim::NodeId n = topo_.nodeCount();
     const int K = plan_.shards;
@@ -78,11 +92,8 @@ Network::Network(const NetworkConfig &config,
     // one batch rotator: channels register with the rotator of the
     // shard that PUSHES into them, so publication happens on the
     // producer's thread; cross-shard consumers learn about new
-    // content through the remote wake words bound below. A batched
-    // fabric's rotators are shared across lanes, so the batch owner
-    // registers them exactly once itself.
-    if (shared == nullptr)
-        flit_store_.registerRotators(engines_);
+    // content through the remote wake words bound below.
+    flit_store_.registerRotators(engines_);
 
     routers_.reserve(n);
     // Endpoint rings start empty and grow on demand to RingQueue's
@@ -121,12 +132,6 @@ Network::Network(const NetworkConfig &config,
     profile_slots_.assign(static_cast<std::size_t>(K), nullptr);
     for (int s = 0; s < K; ++s)
         shard_ticks_.push_back(std::make_unique<ShardTick>(*this, s));
-
-    auto make_flit_channel = [&](int owner_shard) {
-        const ChannelId id = flit_store_.add(owner_shard);
-        flit_channels_.push_back(id);
-        return id;
-    };
 
     // Router state slabs, sized once before router construction (the
     // routers keep raw pointers into them).
@@ -192,7 +197,7 @@ Network::Network(const NetworkConfig &config,
                     continue; // mesh edge: no link in this direction
                 // Flits are pushed by node's router; credits are
                 // returned by the neighbor's.
-                const ChannelId flits = make_flit_channel(shardOf(node));
+                const ChannelId flits = flit_store_.add(shardOf(node));
                 const auto out_port =
                     static_cast<std::size_t>(Router::portFor(dim, dir));
                 const auto in_port = static_cast<std::size_t>(
@@ -212,8 +217,8 @@ Network::Network(const NetworkConfig &config,
         const auto local =
             static_cast<std::size_t>(2 * config_.dims);
         const int s = shardOf(node);
-        inject_link_[node] = make_flit_channel(s);
-        eject_link_[node] = make_flit_channel(s);
+        inject_link_[node] = flit_store_.add(s);
+        eject_link_[node] = flit_store_.add(s);
         wiring[node][local].in = inject_link_[node];
         wiring[node][local].out = eject_link_[node];
         ++box_bound[static_cast<std::size_t>(s * K + s)];
@@ -925,8 +930,7 @@ std::size_t
 Network::memoryBytes() const
 {
     // Routers, input/output units and the vc slab are arena-backed;
-    // arena_.bytesAllocated() covers them. Lane-striped stores owned
-    // by a batch are counted once by the owner, not per lane.
+    // arena_.bytesAllocated() covers them.
     std::size_t bytes = sizeof(*this) + arena_.bytesAllocated() +
                         input_units_.capacity() *
                             sizeof(Router::InputVc) +
@@ -938,8 +942,7 @@ Network::memoryBytes() const
              sizeof(std::uint32_t);
     for (const auto &scratch : busy_scratch_)
         bytes += scratch.capacity();
-    if (owned_flits_ != nullptr)
-        bytes += flit_store_.memoryBytes();
+    bytes += flit_store_.memoryBytes();
     for (const auto &parity : credit_mail_) {
         for (const CreditBox &box : parity) {
             bytes += sizeof(CreditBox) +
@@ -1073,7 +1076,7 @@ Network::saveState(util::Serializer &s) const
     // state folds cross-shard wake words into their sequential
     // staged-word equivalents. The stream is therefore identical for
     // any shard count and restores at any other.
-    for (const ChannelId id : flit_channels_)
+    for (ChannelId id = 0; id < flit_store_.channelCount(); ++id)
         flit_store_.saveChannel(s, id);
 
     // The credit section keeps the layout of the latched credit links
@@ -1160,7 +1163,7 @@ Network::saveState(util::Serializer &s) const
 void
 Network::loadState(util::Deserializer &d)
 {
-    for (const ChannelId id : flit_channels_)
+    for (ChannelId id = 0; id < flit_store_.channelCount(); ++id)
         flit_store_.loadChannel(d, id);
 
     // Rebuild the credit mail the next tick drains (see saveState).
@@ -1315,11 +1318,11 @@ Network::setTracer(obs::Tracer *tracer)
 }
 
 void
-Network::setProfiler(obs::Profiler *profiler, int lane)
+Network::setProfiler(obs::Profiler *profiler)
 {
     for (int s = 0; s < plan_.shards; ++s) {
         profile_slots_[static_cast<std::size_t>(s)] =
-            profiler != nullptr ? &profiler->slot(s, lane) : nullptr;
+            profiler != nullptr ? &profiler->slot(s) : nullptr;
     }
 }
 

@@ -207,14 +207,8 @@ struct NetworkStats
 class Network : public sim::Clocked
 {
   public:
-    /**
-     * Sequential fabric: one engine, trivial shard plan. A non-null
-     * @p shared points at an externally owned lane-striped flit store
-     * (batched execution); the caller must have selected this fabric's
-     * lane with beginLane() and registers the rotators itself.
-     */
-    Network(sim::Engine &engine, const NetworkConfig &config,
-            FlitLinkStore *shared = nullptr);
+    /** Sequential fabric: one engine, trivial shard plan. */
+    Network(sim::Engine &engine, const NetworkConfig &config);
 
     /**
      * Sharded fabric: engines[s] drives shard s of @p plan. All
@@ -222,7 +216,7 @@ class Network : public sim::Clocked
      */
     Network(const NetworkConfig &config,
             const std::vector<sim::Engine *> &engines,
-            const ShardPlan &plan, FlitLinkStore *shared = nullptr);
+            const ShardPlan &plan);
 
     ~Network() override;
 
@@ -326,15 +320,9 @@ class Network : public sim::Clocked
     /** Resident bytes of fabric storage (footprint accounting). */
     std::size_t memoryBytes() const;
 
-    /** The store holding this fabric's flit links (a shared store
-     *  also holds other lanes' links). */
+    /** The store holding this fabric's flit links; ids run densely
+     *  from 0 in construction order. */
     const FlitLinkStore &linkStore() const { return flit_store_; }
-
-    /** This fabric's flit links, in construction order. */
-    const std::vector<ChannelId> &linkIds() const
-    {
-        return flit_channels_;
-    }
 
     /**
      * Attach a tracer for every shard (nullptr to detach; not owned).
@@ -356,10 +344,9 @@ class Network : public sim::Clocked
     /**
      * Attach a phase profiler (nullptr to detach; not owned). Each
      * shard's router scan (tickShard) records Phase::RouterScan on
-     * slot (shard, @p lane) — per-component attribution, so batched
-     * lanes separate even though they share engines.
+     * that shard's slot.
      */
-    void setProfiler(obs::Profiler *profiler, int lane);
+    void setProfiler(obs::Profiler *profiler);
 
     /**
      * Serialize the complete fabric state: every channel and router in
@@ -501,16 +488,12 @@ class Network : public sim::Clocked
     std::vector<sim::Engine *> engines_; //!< engines_[s] drives shard s
 
     /**
-     * The SoA link fabric: all flit links, indexed by the dense
-     * ChannelIds recorded in flit_channels_ (construction order, which
-     * the serialization stream follows). A solo fabric owns its store
-     * and registers one batch rotator per shard with that shard's
-     * engine; a batched fabric borrows the batch owner's lane-striped
-     * store (owned_flits_ stays null) and leaves rotator registration
-     * to the owner.
+     * The SoA link fabric: all flit links, indexed by dense
+     * ChannelIds in construction order (which the serialization
+     * stream follows). One batch rotator per shard is registered
+     * with that shard's engine.
      */
-    std::unique_ptr<FlitLinkStore> owned_flits_;
-    FlitLinkStore &flit_store_;
+    FlitLinkStore flit_store_;
 
     /**
      * Backing store for the routers. One fabric allocates many small
@@ -522,7 +505,6 @@ class Network : public sim::Clocked
     util::Arena arena_;
 
     std::vector<Router *> routers_;
-    std::vector<ChannelId> flit_channels_;
 
     /**
      * Fabric-wide router state slabs, sliced per router (see

@@ -15,8 +15,8 @@
  * The registry is deliberately off the simulation hot path: it is
  * touched at machine construction/destruction and report time only,
  * behind a mutex. Counter values are execution diagnostics, not
- * simulated results — they may legitimately vary with --shards /
- * --batch (e.g. remote wakes only exist when shards > 1) but are
+ * simulated results — they may legitimately vary with --shards
+ * (e.g. remote wakes only exist when shards > 1) but are
  * deterministic for a fixed command line.
  */
 

@@ -7,8 +7,8 @@
  * time; the profiler observes where *host* cycles go — router scans,
  * link rotation, coherence processing, engine event dispatch, barrier
  * waits, quiescence fast-forwards, checkpoint I/O, and cache probes —
- * aggregated on a (shard, batch lane) grid so shard imbalance and
- * lane cost become first-class numbers.
+ * aggregated per shard so shard imbalance becomes a first-class
+ * number.
  *
  * Discipline mirrors the tracer's null-sink contract: every
  * instrumentation point holds a `PhaseSlot *` that is null when
@@ -22,11 +22,10 @@
  * includes the RouterScan and Coherence ticks it dispatches, so
  * child-phase time is also counted inside the parent (exclusive time
  * is derivable by subtraction; tests/profiler_test.cc pins the
- * children <= parent invariant). Attribution convention: phases the
- * whole shard shares (dispatch, rotation, quiescence, barrier) land
- * on lane 0 of their shard; per-component phases (router scan,
- * coherence) carry their machine's lane; checkpoint and cache phases
- * land on the host slot (0, 0) unless the caller knows better.
+ * children <= parent invariant). Attribution convention: engine,
+ * router, coherence and barrier phases land on the slot of the shard
+ * that runs them; checkpoint and cache phases land on the host slot
+ * (shard 0) unless the caller knows better.
  */
 
 #ifndef LOCSIM_OBS_PROFILER_HH_
@@ -37,6 +36,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+
+#include "util/logging.hh"
 
 namespace locsim {
 namespace obs {
@@ -51,7 +52,7 @@ enum class Phase : int {
     BarrierWait,        //!< lockstep barrier arrivals
     Quiescence,         //!< fast-forward jumps over idle stretches
     CheckpointSave,     //!< Machine::saveCheckpoint
-    CheckpointRestore,  //!< Machine::restoreCheckpoint (and batch)
+    CheckpointRestore,  //!< Machine::restoreCheckpoint
     CacheProbe,         //!< sim-cache key lookup / payload read
     CacheStore,         //!< sim-cache payload write
 };
@@ -90,7 +91,7 @@ struct PhaseTotals
 
 /**
  * One accumulation cell. Counters are relaxed atomics so concurrent
- * recorders (sweep machines sharing one profiler, lockstep lanes) can
+ * recorders (sweep machines sharing one profiler, shard threads) can
  * share a slot without synchronization; totals are only read at
  * serial points (report time).
  */
@@ -122,86 +123,61 @@ class PhaseSlot
 };
 
 /**
- * The (shard, lane) slot grid for one run. Sized up front from the
- * harness's best guess; slot() clamps its indices, so a wrong guess
+ * One slot per shard for one run. Sized up front from the harness's
+ * best guess; slot() clamps its index, so a wrong guess
  * (LOCSIM_SHARDS overriding --shards, odd radixes) degrades to
  * coarser attribution instead of out-of-bounds access.
  */
 class Profiler
 {
   public:
-    Profiler(int shards, int lanes)
+    /** @param lanes must be 1; kept for perfbench's two-argument
+     *         construction. */
+    explicit Profiler(int shards, int lanes = 1)
         : shards_(shards < 1 ? 1 : shards),
-          lanes_(lanes < 1 ? 1 : lanes),
           slots_(std::make_unique<PhaseSlot[]>(
-              static_cast<std::size_t>(shards_) *
-              static_cast<std::size_t>(lanes_)))
+              static_cast<std::size_t>(shards_)))
     {
+        LOCSIM_ASSERT(lanes == 1, "the profiler has one slot per shard");
     }
 
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
 
     int shards() const { return shards_; }
-    int lanes() const { return lanes_; }
 
-    /** The cell for (shard, lane); indices clamp into the grid. */
+    /** The slot for @p shard; the index clamps into the grid. */
     PhaseSlot &
-    slot(int shard, int lane)
+    slot(int shard)
     {
         const int s = shard < 0 ? 0
                       : shard >= shards_ ? shards_ - 1
                                          : shard;
-        const int l = lane < 0 ? 0 : lane >= lanes_ ? lanes_ - 1 : lane;
-        return slots_[static_cast<std::size_t>(s) *
-                          static_cast<std::size_t>(lanes_) +
-                      static_cast<std::size_t>(l)];
+        return slots_[static_cast<std::size_t>(s)];
     }
 
-    /** Process-level phases (cache probes, host work): cell (0, 0). */
-    PhaseSlot &hostSlot() { return slot(0, 0); }
+    /** Process-level phases (cache probes, host work): shard 0. */
+    PhaseSlot &hostSlot() { return slot(0); }
 
     /** Whole-grid aggregate. */
     PhaseTotals
     totals() const
     {
         PhaseTotals out;
-        const std::size_t n = static_cast<std::size_t>(shards_) *
-                              static_cast<std::size_t>(lanes_);
-        for (std::size_t i = 0; i < n; ++i)
-            out.merge(slots_[i].totals());
+        for (int s = 0; s < shards_; ++s)
+            out.merge(shardTotals(s));
         return out;
     }
 
-    /** Aggregate over one shard's lanes. */
+    /** One shard's totals. */
     PhaseTotals
     shardTotals(int shard) const
     {
-        PhaseTotals out;
-        const std::size_t base = static_cast<std::size_t>(shard) *
-                                 static_cast<std::size_t>(lanes_);
-        for (int l = 0; l < lanes_; ++l)
-            out.merge(slots_[base + static_cast<std::size_t>(l)]
-                          .totals());
-        return out;
-    }
-
-    /** Aggregate over one lane's shards. */
-    PhaseTotals
-    laneTotals(int lane) const
-    {
-        PhaseTotals out;
-        for (int s = 0; s < shards_; ++s)
-            out.merge(slots_[static_cast<std::size_t>(s) *
-                                 static_cast<std::size_t>(lanes_) +
-                             static_cast<std::size_t>(lane)]
-                          .totals());
-        return out;
+        return slots_[static_cast<std::size_t>(shard)].totals();
     }
 
   private:
     int shards_;
-    int lanes_;
     std::unique_ptr<PhaseSlot[]> slots_;
 };
 

@@ -316,23 +316,8 @@ RunReport::write(std::ostream &os) const
         }
         os << "\n    ],\n";
 
-        std::vector<std::uint64_t> lane_ns;
-        os << "    \"lanes\": [";
-        for (int l = 0; l < profiler_->lanes(); ++l) {
-            const PhaseTotals t = profiler_->laneTotals(l);
-            lane_ns.push_back(t.totalNs());
-            os << (l > 0 ? "," : "") << "\n      {\"lane\": " << l
-               << ", \"total_ns\": " << t.totalNs()
-               << ", \"phases\": ";
-            writePhases(os, t, "      ");
-            os << "}";
-        }
-        os << "\n    ],\n";
-
         os << "    \"imbalance\": {\"shard_max_over_mean\": "
-           << jsonNumber(maxOverMean(shard_ns))
-           << ", \"lane_max_over_mean\": "
-           << jsonNumber(maxOverMean(lane_ns)) << "}";
+           << jsonNumber(maxOverMean(shard_ns)) << "}";
     }
     os << "\n  }\n";
     os << "}\n";
@@ -380,32 +365,24 @@ writeProfileTable(std::ostream &os, const Profiler &profiler,
             os << line;
         }
     }
-    os << "per-lane phase shares (of the lane's total):\n";
-    for (int l = 0; l < profiler.lanes(); ++l) {
-        const PhaseTotals t = profiler.laneTotals(l);
-        const std::uint64_t total = t.totalNs();
-        char head[96];
-        std::snprintf(head, sizeof(head),
-                      "  lane %2d: %10.3f ms\n", l,
-                      static_cast<double>(total) / 1e6);
-        os << head;
-        if (total == 0)
+    char head[96];
+    std::snprintf(head, sizeof(head),
+                  "phase shares (of %.3f ms in total):\n",
+                  static_cast<double>(grid_ns) / 1e6);
+    os << head;
+    for (int p = 0; p < kPhaseCount; ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        if (grid.count[i] == 0)
             continue;
-        for (int p = 0; p < kPhaseCount; ++p) {
-            const auto i = static_cast<std::size_t>(p);
-            if (t.count[i] == 0)
-                continue;
-            char line[128];
-            std::snprintf(
-                line, sizeof(line),
-                "    %-18s %10.3f ms  %6.2f%%  (%llu scopes)\n",
-                phaseName(static_cast<Phase>(p)),
-                static_cast<double>(t.ns[i]) / 1e6,
-                100.0 * static_cast<double>(t.ns[i]) /
-                    static_cast<double>(total),
-                static_cast<unsigned long long>(t.count[i]));
-            os << line;
-        }
+        char line[128];
+        std::snprintf(line, sizeof(line),
+                      "  %-18s %10.3f ms  %6.2f%%  (%llu scopes)\n",
+                      phaseName(static_cast<Phase>(p)),
+                      static_cast<double>(grid.ns[i]) / 1e6,
+                      100.0 * static_cast<double>(grid.ns[i]) /
+                          static_cast<double>(grid_ns),
+                      static_cast<unsigned long long>(grid.count[i]));
+        os << line;
     }
 }
 

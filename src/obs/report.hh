@@ -5,7 +5,7 @@
  * (tool, argv, config, per-simulation cache keys), on what (build
  * provenance, host), what it counted (the process counter registry,
  * cache stats via counters), and where host time went (the phase
- * profiler's per-shard / per-lane breakdown).
+ * profiler's per-shard breakdown).
  *
  * Schema "locsim-run-report-v1". Layout contract: every field that
  * can differ between two identical invocations (wall-clock times,
@@ -89,9 +89,9 @@ class RunReport
 };
 
 /**
- * Human-readable per-lane phase breakdown of @p profiler (the
- * micro_perf --profile stdout table): one row per (lane, phase) with
- * time share, preceded by a per-shard barrier-wait summary when the
+ * Human-readable phase breakdown of @p profiler (the micro_perf
+ * --profile stdout table): one row per phase with its share of the
+ * run's total, preceded by a per-shard barrier-wait summary when the
  * grid has more than one shard.
  */
 void writeProfileTable(std::ostream &os, const Profiler &profiler,

@@ -164,80 +164,6 @@ parallelForEach(std::size_t count, Fn &&fn, int threads = 0)
     pool.wait();
 }
 
-/**
- * Batch-aware parallelMap: pack sweep cells with identical shapes
- * into batches and evaluate whole batches, keeping results in cell
- * order.
- *
- * Indices 0..count-1 are grouped by @p keyOf(i) (first-seen group
- * order, index order within a group), each group is chunked into runs
- * of at most @p batch, and @p runChunk(indices) — which must return
- * one result per index, in chunk order — is evaluated across
- * @p threads workers. Results land in their original index slots, so
- * for a runChunk that simulates each cell independently (or in
- * result-equivalent batched lanes, the machine::MachineBatch
- * contract) the output vector is identical to parallelMap of the
- * per-cell function, whatever the batch size or thread count.
- */
-template <typename KeyFn, typename ChunkFn>
-auto
-batchMap(std::size_t count, KeyFn &&keyOf, int batch,
-         ChunkFn &&runChunk, int threads = 0)
-    -> std::invoke_result_t<ChunkFn &,
-                            const std::vector<std::size_t> &>
-{
-    using ChunkResult =
-        std::invoke_result_t<ChunkFn &,
-                             const std::vector<std::size_t> &>;
-    using Result = typename ChunkResult::value_type;
-    using Key = std::invoke_result_t<KeyFn &, std::size_t>;
-    if (batch < 1)
-        throw std::invalid_argument("batchMap: batch must be >= 1");
-
-    std::vector<std::vector<std::size_t>> chunks;
-    {
-        constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-        std::vector<Key> keys;
-        std::vector<std::size_t> open_chunk; // per group
-        for (std::size_t i = 0; i < count; ++i) {
-            Key key = keyOf(i);
-            std::size_t g = 0;
-            while (g < keys.size() && !(keys[g] == key))
-                ++g;
-            if (g == keys.size()) {
-                keys.push_back(std::move(key));
-                open_chunk.push_back(kNone);
-            }
-            if (open_chunk[g] == kNone ||
-                chunks[open_chunk[g]].size() ==
-                    static_cast<std::size_t>(batch)) {
-                open_chunk[g] = chunks.size();
-                chunks.emplace_back();
-                chunks.back().reserve(
-                    static_cast<std::size_t>(batch));
-            }
-            chunks[open_chunk[g]].push_back(i);
-        }
-    }
-
-    std::vector<Result> results(count);
-    parallelForEach(
-        chunks.size(),
-        [&](std::size_t c) {
-            const std::vector<std::size_t> &chunk = chunks[c];
-            ChunkResult chunk_results = runChunk(chunk);
-            if (chunk_results.size() != chunk.size()) {
-                throw std::runtime_error(
-                    "batchMap: runChunk returned a result count "
-                    "different from its chunk size");
-            }
-            for (std::size_t j = 0; j < chunk.size(); ++j)
-                results[chunk[j]] = std::move(chunk_results[j]);
-        },
-        threads);
-    return results;
-}
-
 } // namespace runner
 } // namespace locsim
 

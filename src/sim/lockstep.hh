@@ -1,9 +1,8 @@
 /**
  * @file
  * The conservative lockstep driver over a set of engines sharing one
- * timeline, extracted from the sharded machine so the batched machine
- * (machine/batch.hh) can drive K lanes' shared engines through the
- * same loop.
+ * timeline: the sharded machine's loop, kept apart from the machine so
+ * tests can drive a bare sharded fabric through it.
  *
  * Each engine is advanced by one lane thread; a spin barrier
  * synchronizes three times per step: after lane 0 publishes the
@@ -134,7 +133,7 @@ runLockstep(const std::vector<Engine *> &engines, Pool &pool,
     auto lane = [&](int s) {
         Engine &engine = *engines[static_cast<std::size_t>(s)];
         obs::PhaseSlot *slot =
-            profiler != nullptr ? &profiler->slot(s, 0) : nullptr;
+            profiler != nullptr ? &profiler->slot(s) : nullptr;
         for (;;) {
             if (s == 0)
                 decide();

@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "machine/batch.hh"
 #include "machine/machine.hh"
 #include "net/network.hh"
 #include "net/traffic.hh"
@@ -103,32 +102,6 @@ TEST(AllocSteadyState, FullMachineShardedEngine)
     machine.advance(10000);
     EXPECT_EQ(heapAllocCount() - before, 0u)
         << "sharded steady state touched the allocator";
-}
-
-TEST(AllocSteadyState, BatchedMachines)
-{
-    // Four lanes over one engine and lane-striped stores: after the
-    // shared fabric reaches its high-water mark, whole batch windows
-    // must recycle storage exactly like a solo machine's.
-    std::vector<locsim::machine::BatchLaneSpec> specs;
-    for (int l = 0; l < 4; ++l) {
-        locsim::machine::MachineConfig config;
-        config.radix = 8;
-        config.contexts = 1;
-        config.shards = 1;
-        specs.push_back({config, locsim::workload::Mapping::random(
-                                     64, static_cast<std::uint64_t>(
-                                             9 + l))});
-    }
-    locsim::machine::MachineBatch batch(specs);
-    batch.advance(1000); // warm caches/directories
-
-    ASSERT_TRUE(warmUntilQuiet([&] { batch.advance(1000); }));
-
-    const std::uint64_t before = heapAllocCount();
-    batch.advance(10000);
-    EXPECT_EQ(heapAllocCount() - before, 0u)
-        << "batched steady state touched the allocator";
 }
 
 } // namespace

@@ -7,8 +7,7 @@
  * lane-vector kernels of net/kernels.hh. These tests pin the edges of
  * that scheme directly against the stores: channels straddling a
  * word boundary, a last partial word with interleaved dirty/clean
- * channels, pad slots created by power-of-two lane striding, and
- * rotation resuming after a mid-window checkpoint restore. Each case
+ * channels and pad slots, and rotation resuming after a mid-window checkpoint restore. Each case
  * runs at every kernel level the build and CPU support, so the scalar
  * fallback and the SIMD bodies are held to the same observable
  * behavior in one process.
@@ -78,7 +77,7 @@ TEST(LinkRotator, DrainsChannelsStraddlingWordBoundary)
 {
     for (const util::simd::Level level : reachableLevels()) {
         LevelGuard guard(level);
-        FlitLinkStore store(4, 1);
+        FlitLinkStore store(4, 1, 70);
         std::vector<ChannelId> ids;
         for (int i = 0; i < 70; ++i)
             ids.push_back(store.add(0));
@@ -111,8 +110,8 @@ TEST(LinkRotator, LastPartialWordPublishesOnlyDirtyChannels)
 {
     for (const util::simd::Level level : reachableLevels()) {
         LevelGuard guard(level);
-        FlitLinkStore store(4, 1);
         constexpr ChannelId kIds = 77; // word 1 holds 13 live channels
+        FlitLinkStore store(4, 1, kIds);
         for (ChannelId i = 0; i < kIds; ++i)
             store.add(0);
         // Interleaved pattern across the whole store, denser in the
@@ -139,54 +138,6 @@ TEST(LinkRotator, LastPartialWordPublishesOnlyDirtyChannels)
 }
 
 /**
- * Lane-striding pads: a 5-lane store strides by 8, so each dirty word
- * interleaves live lanes 0..4 with pad slots 5..7. Publishing every
- * lane's copy of one logical channel in a single word drain must
- * deliver each lane's own flit and nothing else.
- */
-TEST(LinkRotator, PaddedLaneStrideDrainsEachLaneIndependently)
-{
-    for (const util::simd::Level level : reachableLevels()) {
-        LevelGuard guard(level);
-        constexpr int kLanes = 5;
-        FlitLinkStore store(4, 1, kLanes);
-        std::vector<std::vector<ChannelId>> ids(kLanes);
-        for (int lane = 0; lane < kLanes; ++lane) {
-            store.beginLane(lane);
-            for (int c = 0; c < 3; ++c)
-                ids[static_cast<std::size_t>(lane)].push_back(
-                    store.add(0));
-        }
-        // Lane l's logical channel c sits at id c*8 + l.
-        for (int lane = 0; lane < kLanes; ++lane) {
-            for (int c = 0; c < 3; ++c) {
-                EXPECT_EQ(ids[static_cast<std::size_t>(lane)]
-                             [static_cast<std::size_t>(c)],
-                          static_cast<ChannelId>(c * 8 + lane));
-            }
-        }
-        // Lanes 0, 2 and 4 push on logical channel 1; lanes 1 and 3
-        // stay clean.
-        for (const int lane : {0, 2, 4}) {
-            store.push(ids[static_cast<std::size_t>(lane)][1],
-                       testFlit(static_cast<std::uint32_t>(100 + lane)));
-        }
-        store.rotator(0)->rotate();
-        for (int lane = 0; lane < kLanes; ++lane) {
-            const ChannelId id =
-                ids[static_cast<std::size_t>(lane)][1];
-            if (lane % 2 == 0) {
-                ASSERT_FALSE(store.empty(id)) << "lane " << lane;
-                EXPECT_EQ(store.front(id).msg,
-                          static_cast<MessageId>(100 + lane));
-            } else {
-                EXPECT_TRUE(store.empty(id)) << "lane " << lane;
-            }
-        }
-    }
-}
-
-/**
  * Rotation after a mid-window checkpoint restore: a channel saved
  * with staged (unpublished) flits restores into a fresh store, and
  * the next mark + rotate publishes exactly the staged suffix — the
@@ -199,7 +150,7 @@ TEST(LinkRotator, RotationAfterMidWindowRestorePublishesStagedFlits)
         LevelGuard guard(level);
         util::Serializer s;
         {
-            FlitLinkStore store(8, 1);
+            FlitLinkStore store(8, 1, 66);
             for (int i = 0; i < 66; ++i)
                 store.add(0);
             // Channel 65 (word 1): one visible, two staged.
@@ -210,7 +161,7 @@ TEST(LinkRotator, RotationAfterMidWindowRestorePublishesStagedFlits)
             store.saveChannel(s, 65);
         }
         util::Deserializer d(s.buffer());
-        FlitLinkStore restored(8, 1);
+        FlitLinkStore restored(8, 1, 66);
         for (int i = 0; i < 66; ++i)
             restored.add(0);
         restored.loadChannel(d, 65);

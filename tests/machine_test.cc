@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "machine/calibration.hh"
 #include "machine/machine.hh"
@@ -23,6 +24,7 @@
 #include "runner/runner.hh"
 #include "sim/lockstep.hh"
 #include "util/serialize.hh"
+#include "util/simd.hh"
 #include "workload/mapping.hh"
 
 namespace locsim {
@@ -502,6 +504,60 @@ measurementBytes(const Measurement &m)
     util::Serializer s;
     saveMeasurement(s, m);
     return s.takeBuffer();
+}
+
+/**
+ * The SIMD kernels (net/kernels.hh) are an execution detail: a solo
+ * machine run with every kernel level the build and CPU allow
+ * produces the same Measurement and checkpoint bytes as the scalar
+ * path, sequential and sharded, on a machine whose channel count
+ * leaves a partial last dirty word (4^2) and on the paper's 8^2.
+ */
+TEST(Machine, ScalarAndVectorKernelPathsBitIdentical)
+{
+    constexpr std::uint64_t kWarmup = 600, kWindow = 1800;
+    struct Case
+    {
+        int radix;
+        int contexts;
+        workload::Mapping mapping;
+    };
+    const std::vector<Case> cases = {
+        {4, 1, workload::Mapping::random(16, 7)},
+        {4, 2, workload::Mapping::identity(16)},
+        {4, 3, workload::Mapping::random(16, 11)},
+        {8, 2, workload::Mapping::random(64, 29)},
+    };
+    const util::simd::Level ambient = util::simd::activeLevel();
+    auto runAt = [&](util::simd::Level level, const Case &c,
+                     int shards) {
+        util::simd::setActiveLevelForTest(level);
+        MachineConfig config;
+        config.radix = c.radix;
+        config.contexts = c.contexts;
+        config.shards = shards;
+        Machine machine(config, c.mapping);
+        std::vector<std::vector<std::uint8_t>> bytes;
+        bytes.push_back(measurementBytes(machine.run(kWarmup, kWindow)));
+        bytes.push_back(machine.saveCheckpoint());
+        return bytes;
+    };
+    for (const util::simd::Level level :
+         {util::simd::Level::Sse2, util::simd::Level::Avx2}) {
+        util::simd::setActiveLevelForTest(level);
+        if (util::simd::activeLevel() != level)
+            continue; // beyond what this build and CPU allow
+        for (const Case &c : cases) {
+            for (int shards : {1, 2}) {
+                EXPECT_EQ(runAt(util::simd::Level::Off, c, shards),
+                          runAt(level, c, shards))
+                    << util::simd::levelName(level) << ", " << c.radix
+                    << "^2, " << c.contexts << " context(s), "
+                    << shards << " shard(s)";
+            }
+        }
+    }
+    util::simd::setActiveLevelForTest(ambient);
 }
 
 /**

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/network.hh"
@@ -463,8 +464,9 @@ class LinkOccupancyProbe
 {
   public:
     explicit LinkOccupancyProbe(const Network &network)
-        : network_(network), held_(network.linkIds().size(), 0),
-          pushed_(network.linkIds().size(), 0)
+        : network_(network),
+          held_(network.linkStore().channelCount(), 0),
+          pushed_(network.linkStore().channelCount(), 0)
     {
         sample();
     }
@@ -474,12 +476,11 @@ class LinkOccupancyProbe
     sample()
     {
         const FlitLinkStore &store = network_.linkStore();
-        const std::vector<ChannelId> &ids = network_.linkIds();
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            const std::uint32_t pushed = store.pushedCount(ids[i]);
-            peak_ = std::max(peak_, held_[i] + (pushed - pushed_[i]));
-            held_[i] = store.heldCount(ids[i]);
-            pushed_[i] = pushed;
+        for (ChannelId id = 0; id < store.channelCount(); ++id) {
+            const std::uint32_t pushed = store.pushedCount(id);
+            peak_ = std::max(peak_, held_[id] + (pushed - pushed_[id]));
+            held_[id] = store.heldCount(id);
+            pushed_[id] = pushed;
         }
     }
 
@@ -565,40 +566,53 @@ TEST(LinkOccupancy, CongestedFabricsNeverExceedTheBound)
     }
 }
 
-/** Batched lanes share one lane-striped store; each lane's links
- *  obey the same bound. */
-TEST(LinkOccupancy, BatchedLanesNeverExceedTheBound)
+/** Flit links a fabric needs: one per neighbor direction that has a
+ *  neighbor, plus each node's injection and ejection links. */
+std::size_t
+expectedLinks(const TorusTopology &topo, int dims)
 {
-    constexpr int kLanes = 3;
-    for (int depth : {1, 2, 8}) {
+    std::size_t links = 0;
+    for (sim::NodeId node = 0; node < topo.nodeCount(); ++node) {
+        for (int dim = 0; dim < dims; ++dim) {
+            for (int dir : {+1, -1}) {
+                if (topo.neighbor(node, dim, dir) != sim::kNodeNone)
+                    ++links;
+            }
+        }
+        links += 2;
+    }
+    return links;
+}
+
+/**
+ * The link store is sized once for the links its fabric creates: its
+ * footprint is the addressed slots plus at most one 64-id padding
+ * word (the SIMD kernels load whole dirty words). A 1-D radix-16 ring
+ * has exactly 64 links, so its store's footprint is the cost of one
+ * full word of links.
+ */
+TEST(Network, LinkStoreHoldsAddressedLinksPlusOnePaddingWord)
+{
+    auto footprint = [](int radix, int dims, bool wraparound) {
         sim::Engine engine;
         NetworkConfig config;
-        config.router.buffer_depth = depth;
-        FlitLinkStore store(kLinkOccupancyBound, 1, kLanes);
-        store.registerRotators(std::vector<sim::Engine *>{&engine});
-        std::vector<std::unique_ptr<Network>> lanes;
-        std::vector<LinkOccupancyProbe> probes;
-        for (int l = 0; l < kLanes; ++l) {
-            store.beginLane(l);
-            lanes.push_back(
-                std::make_unique<Network>(engine, config, &store));
-            engine.addClocked(lanes.back().get(), 1);
-        }
-        for (const auto &lane : lanes)
-            probes.emplace_back(*lane);
-        util::Rng rng(static_cast<std::uint64_t>(depth));
-        for (int t = 0; t < kOccupancyTicks; ++t) {
-            for (const auto &lane : lanes)
-                offerAndDrain(*lane, rng, kSaturatingRate, 6);
-            engine.run(1);
-            for (LinkOccupancyProbe &probe : probes)
-                probe.sample();
-        }
-        for (int l = 0; l < kLanes; ++l) {
-            EXPECT_EQ(probes[static_cast<std::size_t>(l)].peak(),
-                      static_cast<std::uint32_t>(kLinkOccupancyBound))
-                << "depth " << depth << ", lane " << l;
-        }
+        config.radix = radix;
+        config.dims = dims;
+        config.wraparound = wraparound;
+        Network network(engine, config);
+        return std::make_pair(
+            network.linkStore().memoryBytes(),
+            expectedLinks(network.topology(), dims));
+    };
+    const auto [word_bytes, word_links] = footprint(16, 1, true);
+    ASSERT_EQ(word_links, 64u);
+    const std::tuple<int, int, bool> shapes[] = {
+        {8, 2, true}, {32, 2, true}, {5, 2, false}, {4, 3, true}};
+    for (const auto &[radix, dims, wraparound] : shapes) {
+        const auto [bytes, links] = footprint(radix, dims, wraparound);
+        EXPECT_LE(bytes, links * word_bytes / 64 + word_bytes)
+            << radix << "^" << dims << (wraparound ? " torus" : " mesh")
+            << ", " << links << " links";
     }
 }
 

@@ -69,7 +69,7 @@ runSmallMachine(Profiler *profiler, int shards)
 TEST(Profiler, ProfiledRunIsByteIdenticalToUnprofiled)
 {
     const RunArtifacts plain = runSmallMachine(nullptr, 1);
-    Profiler profiler(1, 1);
+    Profiler profiler(1);
     const RunArtifacts profiled = runSmallMachine(&profiler, 1);
     EXPECT_EQ(plain.measurement, profiled.measurement);
     EXPECT_EQ(plain.checkpoint, profiled.checkpoint);
@@ -80,7 +80,7 @@ TEST(Profiler, ProfiledRunIsByteIdenticalToUnprofiled)
 TEST(Profiler, ShardedProfiledRunMatchesSequential)
 {
     const RunArtifacts sequential = runSmallMachine(nullptr, 1);
-    Profiler profiler(4, 1);
+    Profiler profiler(4);
     const RunArtifacts sharded = runSmallMachine(&profiler, 4);
     EXPECT_EQ(sequential.measurement, sharded.measurement);
     // Barrier waits only exist under lockstep; every shard arrives.
@@ -93,7 +93,7 @@ TEST(Profiler, ShardedProfiledRunMatchesSequential)
 
 TEST(Profiler, NestingChildrenDoNotExceedEngineDispatch)
 {
-    Profiler profiler(1, 1);
+    Profiler profiler(1);
     (void)runSmallMachine(&profiler, 1);
     const PhaseTotals t = profiler.totals();
     const auto ns = [&](Phase p) {
@@ -109,7 +109,7 @@ TEST(Profiler, NestingChildrenDoNotExceedEngineDispatch)
 
 TEST(Profiler, CheckpointPhasesAttributedToSaveRestore)
 {
-    Profiler profiler(1, 1);
+    Profiler profiler(1);
     machine::MachineConfig config;
     config.profiler = &profiler;
     const workload::Mapping mapping = workload::Mapping::random(64, 7);
@@ -129,21 +129,21 @@ TEST(Profiler, CheckpointPhasesAttributedToSaveRestore)
 
 TEST(Profiler, SlotIndicesClampIntoGrid)
 {
-    Profiler profiler(2, 3);
-    EXPECT_EQ(&profiler.slot(-1, -5), &profiler.slot(0, 0));
-    EXPECT_EQ(&profiler.slot(99, 99), &profiler.slot(1, 2));
-    EXPECT_EQ(&profiler.hostSlot(), &profiler.slot(0, 0));
+    Profiler profiler(2);
+    EXPECT_EQ(&profiler.slot(-1), &profiler.slot(0));
+    EXPECT_EQ(&profiler.slot(99), &profiler.slot(1));
+    EXPECT_EQ(&profiler.hostSlot(), &profiler.slot(0));
 }
 
 TEST(Profiler, ScopedPhaseOverNullSlotRecordsNothing)
 {
-    Profiler profiler(1, 1);
+    Profiler profiler(1);
     {
         ScopedPhase scope(nullptr, Phase::RouterScan);
     }
     EXPECT_EQ(profiler.totals().totalNs(), 0u);
     {
-        ScopedPhase scope(&profiler.slot(0, 0), Phase::RouterScan);
+        ScopedPhase scope(&profiler.slot(0), Phase::RouterScan);
     }
     EXPECT_EQ(profiler.totals()
                   .count[static_cast<std::size_t>(Phase::RouterScan)],
@@ -206,7 +206,7 @@ std::string
 renderManifest(bool with_profiler)
 {
     CounterRegistry::process().reset();
-    auto profiler = std::make_unique<Profiler>(1, 1);
+    auto profiler = std::make_unique<Profiler>(1);
     (void)runSmallMachine(with_profiler ? profiler.get() : nullptr, 1);
     RunReport report("profiler_test");
     report.setArgv(std::vector<std::string>{"profiler_test",
@@ -244,12 +244,13 @@ TEST(RunReport, EmitsValidJsonWithRequiredSections)
             std::string::npos);
         if (profiled) {
             for (const char *key :
-                 {"\"phases\":", "\"shards\":", "\"lanes\":",
-                  "\"imbalance\":", "\"barrier_wait_share\":",
+                 {"\"phases\":", "\"shards\":", "\"imbalance\":", "\"barrier_wait_share\":",
                   "\"engine_dispatch\"", "\"router_scan\""}) {
                 EXPECT_NE(text.find(key), std::string::npos)
                     << "missing " << key;
             }
+            // One slot per shard: no lane axis in the profile.
+            EXPECT_EQ(text.find("\"lanes\""), std::string::npos);
         }
     }
 }

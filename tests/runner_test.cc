@@ -193,79 +193,6 @@ TEST(ParallelMap, SimulationSweepIdenticalForAnyThreadCount)
     EXPECT_EQ(sweep(8), sequential);
 }
 
-/**
- * batchMap chunking is size-agnostic: non-power-of-two batch sizes
- * split each key group into runs of at most `batch` in index order,
- * with one short remainder chunk — no padding, no dropped cells, and
- * results still land in their original index slots.
- */
-TEST(BatchMap, NonPowerOfTwoBatchSizesChunkExactly)
-{
-    for (const int batch : {3, 5, 6}) {
-        std::vector<std::vector<std::size_t>> chunks;
-        const auto results = batchMap(
-            17, [](std::size_t) { return 0; }, batch,
-            [&](const std::vector<std::size_t> &chunk) {
-                chunks.push_back(chunk);
-                std::vector<std::size_t> out;
-                for (const std::size_t i : chunk)
-                    out.push_back(i * 10);
-                return out;
-            },
-            1);
-        ASSERT_EQ(results.size(), 17u) << "batch " << batch;
-        for (std::size_t i = 0; i < results.size(); ++i)
-            EXPECT_EQ(results[i], i * 10) << "batch " << batch;
-        // Every chunk but the last is exactly `batch` wide; the last
-        // carries the remainder (17 = 5*3+2 = 3*5+2 = 2*6+5).
-        const std::size_t full = 17u / static_cast<std::size_t>(batch);
-        const std::size_t rem = 17u % static_cast<std::size_t>(batch);
-        ASSERT_EQ(chunks.size(), full + (rem != 0 ? 1 : 0))
-            << "batch " << batch;
-        std::size_t next = 0;
-        for (std::size_t c = 0; c < chunks.size(); ++c) {
-            const std::size_t want =
-                c < full ? static_cast<std::size_t>(batch) : rem;
-            ASSERT_EQ(chunks[c].size(), want)
-                << "chunk " << c << " at batch " << batch;
-            for (const std::size_t i : chunks[c])
-                EXPECT_EQ(i, next++) << "batch " << batch;
-        }
-    }
-}
-
-/**
- * Mixed key groups with a non-power-of-two batch: each group chunks
- * independently (a chunk never mixes shapes), group order is
- * first-seen, and the result vector is identical to the per-cell map.
- */
-TEST(BatchMap, MixedKeyGroupsNeverShareAChunk)
-{
-    const auto keyOf = [](std::size_t i) {
-        return static_cast<int>(i % 3);
-    };
-    std::vector<std::vector<std::size_t>> chunks;
-    const auto results = batchMap(
-        20, keyOf, 3,
-        [&](const std::vector<std::size_t> &chunk) {
-            chunks.push_back(chunk);
-            std::vector<std::size_t> out;
-            for (const std::size_t i : chunk)
-                out.push_back(i + 100);
-            return out;
-        },
-        1);
-    ASSERT_EQ(results.size(), 20u);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        EXPECT_EQ(results[i], i + 100);
-    for (const auto &chunk : chunks) {
-        ASSERT_FALSE(chunk.empty());
-        ASSERT_LE(chunk.size(), 3u);
-        for (const std::size_t i : chunk)
-            EXPECT_EQ(keyOf(i), keyOf(chunk[0]));
-    }
-}
-
 } // namespace
 } // namespace runner
 } // namespace locsim
